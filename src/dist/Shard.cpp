@@ -7,6 +7,7 @@
 #include "dist/Shard.h"
 
 #include "core/Gc.h"
+#include "core/PreemptionClock.h"
 #include "core/ThreadController.h"
 #include "dist/Replica.h"
 #include "dist/Route.h"
@@ -14,7 +15,10 @@
 #include "net/Wire.h"
 #include "obs/Flow.h"
 #include "support/SpinLock.h"
+#include "sync/Mutex.h"
+#include "sync/ParkList.h"
 
+#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -27,17 +31,13 @@ namespace {
 
 using net::BufferedConn;
 namespace wire = net::wire;
+using TC = ThreadController;
 
-bool sendPayload(BufferedConn &C, const wire::Writer &W) {
-  return C.writeFrame(W.payload().data(), W.payload().size()) && C.flush();
-}
-
-bool sendError(BufferedConn &C, const char *Reason) {
-  wire::Writer W(wire::Op::Err);
-  W.text(Reason);
-  return sendPayload(C, W);
-}
-
+/// Proxy ids are minted here, process-wide, not taken from the wire: each
+/// router numbers its registrations from 1, so a router's id only names a
+/// registration on its own connection, and several routers can share one
+/// shard space.
+std::atomic<std::uint64_t> NextProxyId{1};
 
 void adoptFlow(std::uint64_t F) {
   if (!F)
@@ -52,51 +52,43 @@ void stampReplyFlow(wire::Writer &W) {
     W.flow(F);
 }
 
-/// Marshals a replication outcome: RepAck on success, Err(reason, epoch)
-/// on a fenced/refused op — the clean-refusal discipline Hello set the
-/// tone for, so a stale primary gets told, never hung up on. The trailing
-/// epoch lets a peer arbitrarily far behind (a fresh router against a
-/// cluster with failover history) adopt the receiver's view in one hop
-/// instead of inching forward an epoch per retry.
-bool sendRepAck(BufferedConn &C, const Replica::Ack &A) {
-  if (!A.Ok) {
-    wire::Writer W(wire::Op::Err);
-    stampReplyFlow(W);
-    W.text(A.Err ? A.Err : "replication error");
-    W.fixnum(static_cast<std::int64_t>(A.Epoch));
-    return sendPayload(C, W);
-  }
-  wire::Writer W(wire::Op::RepAck);
-  stampReplyFlow(W);
-  W.fixnum(static_cast<std::int64_t>(A.Epoch));
-  W.fixnum(A.Info);
-  return sendPayload(C, W);
-}
-
-/// One queued push frame (Deliver or Retracted). For a *take* delivery the
-/// consumed tuple's values ride along, GC-rooted, so a frame the
-/// connection dies before flushing can re-deposit its tuple — the
-/// exactly-once half the shard owes (the router owes the other half for
-/// frames that *were* flushed).
+/// One queued push frame (a Deliver). For a *take* delivery the consumed
+/// tuple's values ride along, GC-rooted, so a frame the connection dies
+/// before flushing can re-deposit its tuple — the exactly-once half the
+/// shard owes (the router owes the other half for frames that *were*
+/// flushed).
 struct OutFrame {
   std::vector<std::uint8_t> Payload;
-  std::uint64_t Id = 0;             ///< owning registration; 0 = none
+  std::uint64_t Id = 0;             ///< owning registration (router's id)
   std::vector<gc::Value> Redeposit; ///< non-empty only for take deliveries
-  bool Taken = false; ///< noteTaken ran (drainOut popped the frame); only
-                      ///< then does a dropped frame owe a noteRestored —
-                      ///< teardown-dropped frames never told the backup
-                      ///< and must just re-deposit locally.
+  bool Taken = false; ///< noteTaken ran (the push writer popped the frame);
+                      ///< only then does a dropped frame owe a
+                      ///< noteRestored — teardown-dropped frames never told
+                      ///< the backup and must just re-deposit locally.
 };
 
-/// Per-connection registration state. The reader thread owns the
-/// BufferedConn; depositor threads only touch the lock-guarded queue via
-/// the proxy delivery callback.
+/// Per-connection registration state. The connection thread reads every
+/// request and writes its replies; a push writer thread, forked at the
+/// connection's first Register, writes the Deliver frames that delivery
+/// callbacks queue (on whatever thread made the matching deposit). Both
+/// writers serialize on WriteLock, so frames never interleave.
 class ShardConn {
 public:
   ShardConn(TupleSpaceRef Space, BufferedConn &C, const ShardConfig &Cfg)
       : Space(std::move(Space)), C(C), Cfg(Cfg) {}
+  ShardConn(const ShardConn &) = delete; // the push writer holds `this`
+  ShardConn &operator=(const ShardConn &) = delete;
 
-  ~ShardConn() { teardown(); }
+  /// Runs on the connection thread on every exit path, kill-group unwind
+  /// included: the push writer is joined before teardown, so teardown owns
+  /// the queue alone. Both park; interrupts stay deferred so a terminate
+  /// landing meanwhile (the server's kill-group after a client EOF) cannot
+  /// throw out of a destructor or cut the settling short.
+  ~ShardConn() {
+    WithoutInterrupts NoKill;
+    stopWriter();
+    teardown();
+  }
 
   TupleSpaceRef Space;
   BufferedConn &C;
@@ -106,20 +98,94 @@ public:
     Armed,    ///< registered in the space, no delivery yet
     Enqueued, ///< delivery callback ran; its frame is in (or past) Out
   };
+  struct Reg {
+    RegState State = RegState::Armed;
+    std::uint64_t ProxyId = 0; ///< the registration's id in the space
+  };
 
   SpinLock Lock;
-  std::unordered_map<std::uint64_t, RegState> Regs;
+  /// Keyed by the router's registration id.
+  std::unordered_map<std::uint64_t, Reg> Regs;
   std::deque<std::unique_ptr<OutFrame>> Out;
-  bool ConnDead = false; ///< write side failed; stop queuing sends
+  bool ConnDead = false;   ///< a write failed; stop sending
+  bool StopWriter = false; ///< the connection thread is leaving
 
-  bool hasWork() {
-    std::lock_guard<SpinLock> G(Lock);
-    return !Regs.empty() || !Out.empty();
+  /// Serializes every write on C (replies and pushes). The read side of C
+  /// belongs to the connection thread alone.
+  Mutex WriteLock;
+  /// The push writer parks here until Kick is set.
+  ParkList WriterWake;
+  std::atomic<bool> Kick{false};
+  ThreadRef Writer; ///< connection thread only
+
+  /// Writes one frame under WriteLock. \returns false once the connection
+  /// is dead (this write failed, or an earlier one did).
+  bool send(const wire::Writer &W) {
+    return sendBytes(W.payload().data(), W.payload().size());
+  }
+
+  bool sendBytes(const std::uint8_t *P, std::size_t N) {
+    std::lock_guard<Mutex> G(WriteLock);
+    {
+      std::lock_guard<SpinLock> L(Lock);
+      if (ConnDead)
+        return false;
+    }
+    if (C.writeFrame(P, N) && C.flush())
+      return true;
+    {
+      std::lock_guard<SpinLock> L(Lock);
+      ConnDead = true;
+    }
+    // A failed write leaves a partial frame behind: the stream is lost.
+    // Wake the connection thread's read so it leaves too.
+    C.socket().shutdown();
+    return false;
+  }
+
+  /// Sets Kick and wakes the push writer. Caller holds Lock — once it
+  /// drops, teardown may observe the state that caller published and
+  /// destroy this connection. (ParkList wakes never take Lock, and the
+  /// writer's condition reads only Kick, so this nests safely.)
+  void kickLocked() {
+    Kick.store(true, std::memory_order_release);
+    WriterWake.wakeOne();
+  }
+
+  /// Forks the push writer (connection thread, first Register only). It
+  /// joins the connection thread's group, so the server's kill-group
+  /// reaches it too.
+  void startWriter() {
+    if (Writer)
+      return;
+    SpawnOptions Opts;
+    Opts.Stealable = false; // never run inline on a joiner's stack
+    Writer = TC::forkThread(
+        [this]() -> AnyValue {
+          pushLoop();
+          return AnyValue();
+        },
+        Opts);
+  }
+
+  /// Stops and joins the push writer: frames it has not popped stay in Out
+  /// for teardown. The socket shutdown wakes a writer parked on a peer
+  /// that stopped reading; the connection is ending either way.
+  void stopWriter() {
+    if (!Writer)
+      return;
+    {
+      std::lock_guard<SpinLock> G(Lock);
+      StopWriter = true;
+      kickLocked();
+    }
+    C.socket().shutdown();
+    TC::threadWaitFor(*Writer, Deadline::never());
   }
 
   /// The proxy delivery callback (depositor thread, outside all space
   /// locks): serialize the match now — values may be unreachable from the
-  /// space once consumed — and queue the frame for the reader thread.
+  /// space once consumed — queue the frame and wake the push writer.
   void onDeliver(std::uint64_t Id, Match M, bool Remove) {
     wire::Writer W(wire::Op::Deliver);
     if (std::uint64_t F = M.Flow ? M.Flow : obs::currentFlowId())
@@ -138,8 +204,9 @@ public:
     std::lock_guard<SpinLock> G(Lock);
     auto It = Regs.find(Id);
     if (It != Regs.end())
-      It->second = RegState::Enqueued;
+      It->second.State = RegState::Enqueued;
     Out.push_back(std::move(Fr));
+    kickLocked();
   }
 
   /// Releases \p Fr. \p Sent distinguishes a flushed frame (roots only)
@@ -147,10 +214,10 @@ public:
   /// replication a dropped frame whose noteTaken ran (Fr->Taken) restores
   /// the backup copy — or re-routes the tuple to the slot's current
   /// primary — before (or instead of) the local put. A frame dropped
-  /// before drainOut ever popped it never decremented the ledger or told
-  /// the backup anything, so it only re-deposits locally: an unpaired
-  /// noteRestored would over-count the resident and forward a second
-  /// backup copy, materializing a duplicate at the next promotion.
+  /// before the push writer ever popped it never decremented the ledger
+  /// or told the backup anything, so it only re-deposits locally: an
+  /// unpaired noteRestored would over-count the resident and forward a
+  /// second backup copy, materializing a duplicate at the next promotion.
   void dispose(std::unique_ptr<OutFrame> Fr, bool Sent) {
     if (!Fr->Redeposit.empty()) {
       bool Local = true;
@@ -168,18 +235,36 @@ public:
     }
   }
 
-  /// Sends every queued push frame. \returns false once the write side
-  /// fails; queued and future frames then drain through teardown.
-  bool drainOut() {
+  /// The push writer: parks until kicked, then sends every queued frame.
+  /// Exits when the connection thread stops it or a write fails; frames
+  /// still queued then drain through teardown.
+  void pushLoop() {
     for (;;) {
-      std::unique_ptr<OutFrame> Fr;
-      {
-        std::lock_guard<SpinLock> G(Lock);
-        if (ConnDead || Out.empty())
-          return !ConnDead;
-        Fr = std::move(Out.front());
-        Out.pop_front();
+      WriterWake.await(
+          [this] { return Kick.exchange(false, std::memory_order_acq_rel); },
+          this);
+      for (;;) {
+        std::unique_ptr<OutFrame> Fr;
+        {
+          std::lock_guard<SpinLock> G(Lock);
+          if (StopWriter || ConnDead)
+            return;
+          if (Out.empty())
+            break;
+          Fr = std::move(Out.front());
+          Out.pop_front();
+        }
+        if (!push(std::move(Fr)))
+          return;
       }
+    }
+  }
+
+  /// Sends one popped frame and settles it. \returns false once the
+  /// connection is dead.
+  bool push(std::unique_ptr<OutFrame> Fr) {
+    bool Sent;
+    try {
       // Replication's delivered⇒tombstoned invariant: the backup learns
       // the take *before* the Deliver frame can be observed, so a
       // promotion never resurrects a tuple someone already received. If
@@ -189,25 +274,28 @@ public:
         Cfg.Rep->noteTaken(Fr->Redeposit);
         Fr->Taken = true;
       }
-      bool Sent = C.writeFrame(Fr->Payload.data(), Fr->Payload.size(),
-                               Deadline::in(Cfg.PollNanos * 1000)) &&
-                  C.flush(Deadline::in(Cfg.PollNanos * 1000));
-      std::uint64_t Id = Fr->Id;
-      dispose(std::move(Fr), Sent);
-      if (!Sent) {
-        std::lock_guard<SpinLock> G(Lock);
-        ConnDead = true;
-        return false;
+      Sent = sendBytes(Fr->Payload.data(), Fr->Payload.size());
+    } catch (...) {
+      // Server shutdown's kill-group unwinding through a parked write or
+      // forward: the frame never flushed, so its consumed tuple goes back
+      // (and its heap roots are released) before the unwind continues.
+      {
+        WithoutInterrupts NoKill;
+        dispose(std::move(Fr), /*Sent=*/false);
       }
-      if (Id) {
-        // The registration completed observably; forget it. (A later
-        // Retract for it answers wasArmed=false via the unknown-id path.)
-        std::lock_guard<SpinLock> G(Lock);
-        auto It = Regs.find(Id);
-        if (It != Regs.end() && It->second == RegState::Enqueued)
-          Regs.erase(It);
-      }
+      throw;
     }
+    std::uint64_t Id = Fr->Id;
+    dispose(std::move(Fr), Sent);
+    if (!Sent)
+      return false;
+    // The registration completed observably; forget it. (A later Retract
+    // for it answers wasArmed=false via the unknown-id path.)
+    std::lock_guard<SpinLock> G(Lock);
+    auto It = Regs.find(Id);
+    if (It != Regs.end() && It->second.State == RegState::Enqueued)
+      Regs.erase(It);
+    return true;
   }
 
   /// Connection exit: every registration resolves exactly once. Armed ones
@@ -215,14 +303,15 @@ public:
   /// flushed their frame (the router owns the tuple) or re-deposit it.
   void teardown() {
     for (;;) {
-      std::uint64_t Id = 0;
+      std::uint64_t Id = 0, ProxyId = 0;
       {
         std::lock_guard<SpinLock> G(Lock);
         if (Regs.empty())
           break;
         Id = Regs.begin()->first;
+        ProxyId = Regs.begin()->second.ProxyId;
       }
-      if (Space->retractProxy(Id)) {
+      if (Space->retractProxy(ProxyId)) {
         std::lock_guard<SpinLock> G(Lock);
         Regs.erase(Id);
         continue;
@@ -235,12 +324,12 @@ public:
         {
           std::lock_guard<SpinLock> G(Lock);
           auto It = Regs.find(Id);
-          if (It == Regs.end() || It->second == RegState::Enqueued) {
+          if (It == Regs.end() || It->second.State == RegState::Enqueued) {
             Regs.erase(Id);
             break;
           }
         }
-        ThreadController::yieldProcessor();
+        TC::yieldProcessor();
       }
     }
     // No registration remains, so no further callback can enqueue: the
@@ -257,24 +346,43 @@ public:
   }
 };
 
+bool sendError(ShardConn &S, const char *Reason) {
+  wire::Writer W(wire::Op::Err);
+  W.text(Reason);
+  return S.send(W);
+}
+
+/// Marshals a replication outcome: RepAck on success, Err(reason, epoch)
+/// on a fenced/refused op — the clean-refusal discipline Hello set the
+/// tone for, so a stale primary gets told, never hung up on. The trailing
+/// epoch lets a peer arbitrarily far behind (a fresh router against a
+/// cluster with failover history) adopt the receiver's view in one hop
+/// instead of inching forward an epoch per retry.
+bool sendRepAck(ShardConn &S, const Replica::Ack &A) {
+  if (!A.Ok) {
+    wire::Writer W(wire::Op::Err);
+    stampReplyFlow(W);
+    W.text(A.Err ? A.Err : "replication error");
+    W.fixnum(static_cast<std::int64_t>(A.Epoch));
+    return S.send(W);
+  }
+  wire::Writer W(wire::Op::RepAck);
+  stampReplyFlow(W);
+  W.fixnum(static_cast<std::int64_t>(A.Epoch));
+  W.fixnum(A.Info);
+  return S.send(W);
+}
+
 void serveShardConn(ShardConn &S) {
   BufferedConn &C = S.C;
   std::vector<std::uint8_t> Frame;
   for (;;) {
-    if (!S.drainOut())
-      return;
-    // With registrations or queued pushes pending, poll so depositor
-    // deliveries drain promptly; otherwise block until the client speaks.
-    Deadline Poll =
-        S.hasWork() ? Deadline::in(S.Cfg.PollNanos) : Deadline::never();
-    if (!C.readFrame(Frame, Poll)) {
-      if (errno == ETIMEDOUT)
-        continue; // poll lap: drain pushes, try again
-      return;     // EOF or connection error
-    }
+    // Block until the client speaks: pushes never need this thread.
+    if (!C.readFrame(Frame))
+      return; // EOF or connection error
     wire::Reader R(Frame.data(), Frame.size());
     if (!R.ok()) {
-      if (!sendError(C, "malformed frame"))
+      if (!sendError(S, "malformed frame"))
         return;
       continue;
     }
@@ -283,14 +391,14 @@ void serveShardConn(ShardConn &S) {
     case wire::Op::Hello: {
       wire::ReadField F;
       if (!R.next(F) || F.T != wire::Tag::Fixnum) {
-        if (!sendError(C, "malformed hello"))
+        if (!sendError(S, "malformed hello"))
           return;
         break;
       }
       if (F.Num != WireVersion) {
         // Clean refusal, then close: the router surfaces this as a leg
         // failure instead of hanging on a silent peer.
-        sendError(C, "version mismatch");
+        sendError(S, "version mismatch");
         return;
       }
       // Optional (slot, epoch) pairs: the router's promotion view. A
@@ -306,7 +414,7 @@ void serveShardConn(ShardConn &S) {
       wire::Writer W(wire::Op::HelloOk);
       stampReplyFlow(W);
       W.fixnum(WireVersion);
-      if (!sendPayload(C, W))
+      if (!S.send(W))
         return;
       break;
     }
@@ -316,12 +424,14 @@ void serveShardConn(ShardConn &S) {
       if (!R.next(IdF) || IdF.T != wire::Tag::Fixnum || !R.next(FlagsF) ||
           FlagsF.T != wire::Tag::Fixnum ||
           !wire::readTuple(R, Template)) {
-        if (!sendError(C, "malformed register"))
+        if (!sendError(S, "malformed register"))
           return;
         break;
       }
       std::uint64_t Id = static_cast<std::uint64_t>(IdF.Num);
       bool Remove = (FlagsF.Num & 1) != 0;
+      const std::uint64_t ProxyId =
+          NextProxyId.fetch_add(1, std::memory_order_relaxed);
       bool Duplicate;
       {
         std::lock_guard<SpinLock> G(S.Lock);
@@ -329,19 +439,21 @@ void serveShardConn(ShardConn &S) {
         // Insert before arming so the callback (which can fire inside
         // registerProxy on an immediate match) finds the entry.
         if (!Duplicate)
-          S.Regs.emplace(Id, ShardConn::RegState::Armed);
+          S.Regs.emplace(Id, ShardConn::Reg{ShardConn::RegState::Armed,
+                                            ProxyId});
       }
       if (Duplicate) {
         // Reply outside the lock: a socket write can park, and SpinLock
         // holders must never park.
-        if (!sendError(C, "duplicate registration id"))
+        if (!sendError(S, "duplicate registration id"))
           return;
         break;
       }
+      S.startWriter();
       bool Ok = S.Space->registerProxy(
-          Id, std::move(Template), Remove,
-          [&S, Remove](std::uint64_t RegId, Match M) {
-            S.onDeliver(RegId, std::move(M), Remove);
+          ProxyId, std::move(Template), Remove,
+          [&S, Id, Remove](std::uint64_t, Match M) {
+            S.onDeliver(Id, std::move(M), Remove);
           });
       if (!Ok) {
         {
@@ -354,7 +466,7 @@ void serveShardConn(ShardConn &S) {
         stampReplyFlow(W);
         W.fixnum(static_cast<std::int64_t>(Id));
         W.boolean(true);
-        if (!sendPayload(C, W))
+        if (!S.send(W))
           return;
       }
       break;
@@ -362,12 +474,19 @@ void serveShardConn(ShardConn &S) {
     case wire::Op::Retract: {
       wire::ReadField IdF;
       if (!R.next(IdF) || IdF.T != wire::Tag::Fixnum) {
-        if (!sendError(C, "malformed retract"))
+        if (!sendError(S, "malformed retract"))
           return;
         break;
       }
       std::uint64_t Id = static_cast<std::uint64_t>(IdF.Num);
-      bool WasArmed = S.Space->retractProxy(Id);
+      std::uint64_t ProxyId = 0; // 0 is never minted: unknown id
+      {
+        std::lock_guard<SpinLock> G(S.Lock);
+        auto It = S.Regs.find(Id);
+        if (It != S.Regs.end())
+          ProxyId = It->second.ProxyId;
+      }
+      bool WasArmed = ProxyId != 0 && S.Space->retractProxy(ProxyId);
       if (WasArmed) {
         std::lock_guard<SpinLock> G(S.Lock);
         S.Regs.erase(Id);
@@ -378,21 +497,21 @@ void serveShardConn(ShardConn &S) {
       stampReplyFlow(W);
       W.fixnum(static_cast<std::int64_t>(Id));
       W.boolean(WasArmed);
-      if (!sendPayload(C, W))
+      if (!S.send(W))
         return;
       break;
     }
     case wire::Op::TsOut: {
       Tuple T;
       if (!wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed tuple"))
+        if (!sendError(S, "malformed tuple"))
           return;
         break;
       }
       S.Space->put(std::move(T));
       wire::Writer W(wire::Op::TsAck);
       stampReplyFlow(W);
-      if (!sendPayload(C, W))
+      if (!S.send(W))
         return;
       break;
     }
@@ -401,7 +520,7 @@ void serveShardConn(ShardConn &S) {
       bool Destructive = R.op() == wire::Op::TsIn;
       Tuple T;
       if (!wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed template"))
+        if (!sendError(S, "malformed template"))
           return;
         break;
       }
@@ -417,7 +536,7 @@ void serveShardConn(ShardConn &S) {
       wire::Writer W(wire::Op::TsMatch);
       stampReplyFlow(W);
       wire::writeMatch(W, M);
-      if (!sendPayload(C, W))
+      if (!S.send(W))
         return;
       break;
     }
@@ -428,12 +547,12 @@ void serveShardConn(ShardConn &S) {
           !R.next(EpochF) || EpochF.T != wire::Tag::Fixnum ||
           !R.next(FlagsF) || FlagsF.T != wire::Tag::Fixnum ||
           !wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed repput"))
+        if (!sendError(S, "malformed repput"))
           return;
         break;
       }
       if (!S.Cfg.Rep) {
-        if (!sendError(C, "no replica"))
+        if (!sendError(S, "no replica"))
           return;
         break;
       }
@@ -441,7 +560,7 @@ void serveShardConn(ShardConn &S) {
           static_cast<std::uint64_t>(SlotF.Num),
           static_cast<std::uint64_t>(EpochF.Num), (FlagsF.Num & 1) != 0,
           std::move(T));
-      if (!sendRepAck(C, A))
+      if (!sendRepAck(S, A))
         return;
       break;
     }
@@ -451,19 +570,19 @@ void serveShardConn(ShardConn &S) {
       if (!R.next(SlotF) || SlotF.T != wire::Tag::Fixnum ||
           !R.next(EpochF) || EpochF.T != wire::Tag::Fixnum ||
           !wire::readTuple(R, T)) {
-        if (!sendError(C, "malformed repretract"))
+        if (!sendError(S, "malformed repretract"))
           return;
         break;
       }
       if (!S.Cfg.Rep) {
-        if (!sendError(C, "no replica"))
+        if (!sendError(S, "no replica"))
           return;
         break;
       }
       Replica::Ack A =
           S.Cfg.Rep->onRetract(static_cast<std::uint64_t>(SlotF.Num),
                                static_cast<std::uint64_t>(EpochF.Num), T);
-      if (!sendRepAck(C, A))
+      if (!sendRepAck(S, A))
         return;
       break;
     }
@@ -473,12 +592,12 @@ void serveShardConn(ShardConn &S) {
       wire::ReadField SlotF, EpochF;
       if (!R.next(SlotF) || SlotF.T != wire::Tag::Fixnum ||
           !R.next(EpochF) || EpochF.T != wire::Tag::Fixnum) {
-        if (!sendError(C, "malformed promote"))
+        if (!sendError(S, "malformed promote"))
           return;
         break;
       }
       if (!S.Cfg.Rep) {
-        if (!sendError(C, "no replica"))
+        if (!sendError(S, "no replica"))
           return;
         break;
       }
@@ -486,7 +605,7 @@ void serveShardConn(ShardConn &S) {
       std::uint64_t Epoch = static_cast<std::uint64_t>(EpochF.Num);
       Replica::Ack A = Promote ? S.Cfg.Rep->onPromote(Slot, Epoch)
                                : S.Cfg.Rep->onDemote(Slot, Epoch);
-      if (!sendRepAck(C, A))
+      if (!sendRepAck(S, A))
         return;
       break;
     }
@@ -494,7 +613,7 @@ void serveShardConn(ShardConn &S) {
       wire::ReadField SlotF, EpochF, OffsetF;
       if (!R.next(SlotF) || SlotF.T != wire::Tag::Fixnum ||
           !R.next(EpochF) || EpochF.T != wire::Tag::Fixnum) {
-        if (!sendError(C, "malformed pull"))
+        if (!sendError(S, "malformed pull"))
           return;
         break;
       }
@@ -503,7 +622,7 @@ void serveShardConn(ShardConn &S) {
       if (R.next(OffsetF) && OffsetF.T == wire::Tag::Fixnum)
         Offset = static_cast<std::uint64_t>(OffsetF.Num);
       if (!S.Cfg.Rep) {
-        if (!sendError(C, "no replica"))
+        if (!sendError(S, "no replica"))
           return;
         break;
       }
@@ -511,7 +630,7 @@ void serveShardConn(ShardConn &S) {
           S.Cfg.Rep->onPull(static_cast<std::uint64_t>(SlotF.Num),
                             static_cast<std::uint64_t>(EpochF.Num), Offset);
       if (!P.Ok) {
-        if (!sendError(C, P.Err ? P.Err : "pull refused"))
+        if (!sendError(S, P.Err ? P.Err : "pull refused"))
           return;
         break;
       }
@@ -523,12 +642,12 @@ void serveShardConn(ShardConn &S) {
       W.fixnum(static_cast<std::int64_t>(P.Version));
       for (const std::string &B : P.Tuples)
         W.blob(B);
-      if (!sendPayload(C, W))
+      if (!S.send(W))
         return;
       break;
     }
     default:
-      if (!sendError(C, "unknown op"))
+      if (!sendError(S, "unknown op"))
         return;
       break;
     }

@@ -20,7 +20,9 @@
 ///    space (TupleSpace::registerProxy) on behalf of a remote waiter. No
 ///    connection thread parks per blocked take — the registration is an
 ///    entry in the space's blocked-reader table, and a matching deposit's
-///    callback enqueues a Deliver(id, fields) push frame.
+///    callback enqueues a Deliver(id, fields) push frame. The id names the
+///    registration on this connection only; the space sees a shard-minted
+///    proxy id, so several routers can share one shard.
 ///
 ///  - Retract(id): retracts the registration, answering Retracted(id,
 ///    wasArmed). wasArmed=true is the HandoffList retract-or-observe
@@ -36,13 +38,24 @@
 ///    is preceded by a forwarded, acknowledged RepRetract to the backup,
 ///    so every observed delivery already has a tombstoned copy.
 ///
+/// Threads per connection: the connection thread only blocks in an untimed
+/// read and writes the replies; the connection's first Register forks a
+/// push writer that parks until a delivery callback queues a frame (on
+/// whatever thread deposited the match) and wakes it. The push writer runs
+/// the replication forward and the Deliver write, so a depositor never
+/// blocks on another connection's socket. Replies and pushes share one
+/// write lock. Nothing polls: an idle registration connection costs two
+/// parked threads and no timer.
+///
 /// Exactly-once conservation across connection death: teardown retracts
 /// every armed registration (the tuple never left the space) and
 /// re-deposits the tuple of every *take* delivery whose Deliver frame was
 /// never flushed to the socket — a consumed tuple is either observably
 /// delivered or back in the space, never silently dropped. Under
 /// replication the re-deposit first restores the backup copy
-/// (Replica::noteRestored), keeping copy counts balanced.
+/// (Replica::noteRestored), keeping copy counts balanced. A frame the push
+/// writer holds when the server's kill-group unwinds it is settled the
+/// same way before the unwind continues.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,10 +73,6 @@ namespace sting::dist {
 class Replica;
 
 struct ShardConfig {
-  /// Outbound-drain poll period once a connection holds registrations or
-  /// queued push frames: the reader thread alternates timed frame reads
-  /// with queue drains, bounding Deliver push latency by this period.
-  std::uint64_t PollNanos = 1'000'000;
   /// This shard's replication brain (DESIGN.md §14), shared by every
   /// connection the handler serves. Null runs the shard single-copy: the
   /// Rep* ops answer Err("no replica") and takes skip the retract

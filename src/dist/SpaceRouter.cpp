@@ -15,6 +15,7 @@
 #include "obs/Flow.h"
 #include "obs/SchedStats.h"
 #include "obs/TraceBuffer.h"
+#include "sync/Mutex.h"
 
 #include <cerrno>
 #include <deque>
@@ -76,17 +77,21 @@ struct SpaceRouter::Leg {
   std::vector<std::uint8_t> RegFrame; ///< Register payload, re-sent on reconnect
 };
 
-/// The per-shard registration channel: a pump thread owning the socket,
-/// plus the lock-guarded leg table and outbound frame queue that caller
-/// threads feed. The pump alternates queue drains with short timed reads,
-/// so push dispatch, reconnects and shutdown all make progress within
-/// ChannelPollNanos.
+/// The per-shard registration channel. Caller threads write: arm() queues
+/// a leg's Register and detach() its Retract under the channel lock, and
+/// flush() writes the queue in FIFO order while the channel is up. The
+/// pump thread owns the connection's lifecycle and its read side only: it
+/// connects (re-arming every live leg), then blocks in an untimed read for
+/// Deliver/Retracted frames. Nothing polls. A failed write marks the
+/// channel down and shuts the socket down, which wakes the pump's read
+/// into its reconnect lap; router shutdown wakes it the same way.
 class SpaceRouter::Channel {
 public:
   Channel(SpaceRouter &R, std::size_t Index) : R(R), Index(Index) {}
 
-  /// Queues the leg's Register frame and takes ownership of the leg.
-  /// \returns false (leg destroyed) when the router is closing.
+  /// Queues the leg's Register frame and takes ownership of the leg; the
+  /// caller sends it with flush(). \returns false (leg destroyed) when the
+  /// router is closing.
   bool arm(std::unique_ptr<Leg> L) {
     bool NeedFork = false;
     {
@@ -117,8 +122,9 @@ public:
   }
 
   /// The caller's exit: unhook its op from this channel's leg and queue a
-  /// Retract for a still-unresolved one. After detach returns for every
-  /// armed leg, no pump references the op.
+  /// Retract (sent by the next flush) for a still-unresolved one. After
+  /// detach returns for every armed leg, no pump references the op.
+  /// Never parks.
   void detach(std::uint64_t Id) {
     std::unique_ptr<Leg> Local;
     {
@@ -130,12 +136,12 @@ public:
       L->Op = nullptr;
       if (L->DeliverOwed || L->RetractSent)
         return;
-      // If the Register frame is still queued — the channel has not
-      // connected yet, or the pump has not drained it — the shard has
-      // never seen this leg. Retract it locally by unqueueing the frame:
-      // no delivery can ever fire, so the leg resolves here, without a
-      // wire round-trip (and without the reconnect path misreading the
-      // pending Retract as an unresolvable tombstone).
+      // If the Register frame is still queued — the channel is not up
+      // yet, or is between connections — the shard has never seen this
+      // leg. Retract it locally by unqueueing the frame: no delivery can
+      // ever fire, so the leg resolves here, without a wire round-trip
+      // (and without the reconnect path misreading the pending Retract as
+      // an unresolvable tombstone).
       for (auto QIt = OutQ.begin(); QIt != OutQ.end(); ++QIt) {
         if (*QIt == L->RegFrame) {
           OutQ.erase(QIt);
@@ -157,6 +163,35 @@ public:
         Vp->stats().RouterRetracts.inc();
       STING_TRACE_EVENT(RouterRetract, 0, routePayload(Index, 0) | (1u << 16));
     }
+  }
+
+  /// Writes every queued frame, in order, when the channel is up (parks
+  /// on the write lock and the socket). While it is down the frames stay
+  /// queued: the pump's connect-time drain sends (or re-derives) them.
+  void flush() {
+    {
+      std::lock_guard<SpinLock> G(Lock);
+      if (OutQ.empty())
+        return;
+    }
+    std::lock_guard<Mutex> W(WriteLock);
+    if (Live && !writeQueued(*Live)) {
+      // Down: the pump's read wakes on the shutdown and reconnects; the
+      // frames lost with this connection are re-derived from the legs.
+      Live->socket().shutdown();
+      Live = nullptr;
+    }
+  }
+
+  /// Router shutdown: wakes the pump wherever it parks — the read (or
+  /// handshake) on its socket, or the pause between connect rounds.
+  void wake() {
+    {
+      std::lock_guard<SpinLock> G(Lock);
+      if (Sock)
+        Sock->shutdown();
+    }
+    Sleeper.wakeAll();
   }
 
   std::size_t legCount() {
@@ -184,8 +219,13 @@ public:
 
 private:
   void run();
+  bool connect(BufferedConn &Conn);
+  /// One connection's life once the handshake passed: re-arm, then read
+  /// until it ends.
+  void serve(BufferedConn &Conn);
   bool handshake(BufferedConn &Conn);
-  bool drainOut(BufferedConn &Conn);
+  bool writeQueued(BufferedConn &Conn);
+  void rearm();
   void dispatch(wire::Reader &R, std::uint64_t Flow);
   void failAllLegs();
   void resolveAndWake(Leg *L, bool Delivered);
@@ -198,6 +238,11 @@ private:
   std::deque<std::vector<std::uint8_t>> OutQ;
   bool Started = false;
   ThreadRef Pump;
+  Socket *Sock = nullptr; ///< the pump's socket from connect to teardown
+  /// Serializes writes to the connection; guards Live. Lock order:
+  /// WriteLock -> Lock.
+  Mutex WriteLock;
+  BufferedConn *Live = nullptr; ///< the pump's connection while up
   ParkList Sleeper; ///< pump-only: timed park between connect rounds
 };
 
@@ -264,93 +309,119 @@ bool SpaceRouter::Channel::handshake(BufferedConn &Conn) {
   return Rd.next(F) && F.T == wire::Tag::Fixnum && F.Num == WireVersion;
 }
 
-bool SpaceRouter::Channel::drainOut(BufferedConn &Conn) {
-  for (;;) {
-    std::vector<std::uint8_t> Frame;
-    {
-      std::lock_guard<SpinLock> G(Lock);
-      if (OutQ.empty())
-        return true;
-      Frame = std::move(OutQ.front());
-      OutQ.pop_front();
-    }
-    if (!Conn.writeFrame(Frame.data(), Frame.size()) || !Conn.flush())
-      return false;
+bool SpaceRouter::Channel::writeQueued(BufferedConn &Conn) {
+  std::deque<std::vector<std::uint8_t>> Batch;
+  {
+    std::lock_guard<SpinLock> G(Lock);
+    Batch.swap(OutQ);
   }
+  // A shard that stops reading fails the write within its request budget,
+  // like any other write error: the channel goes down and reconnects, so
+  // no caller waits on the write lock for longer than that.
+  Deadline D = Deadline::in(R.Config.Shards[Index].RequestTimeoutNanos);
+  for (const std::vector<std::uint8_t> &Frame : Batch)
+    if (!Conn.writeFrame(Frame.data(), Frame.size(), D))
+      return false;
+  return Conn.flush(D);
+}
+
+/// Re-arms every live leg on a fresh connection: the shard's
+/// per-connection registry started empty, so each unresolved leg re-sends
+/// its Register. Tombstones awaiting a Deliver from the *dead* connection
+/// can never be paid; orphan them.
+void SpaceRouter::Channel::rearm() {
+  std::lock_guard<SpinLock> G(Lock);
+  OutQ.clear();
+  for (auto It = Legs.begin(); It != Legs.end();) {
+    Leg *L = It->second;
+    if (L->DeliverOwed || L->RetractSent) {
+      R.Stats.Orphans.fetch_add(1, std::memory_order_relaxed);
+      resolveAndWake(L, false);
+      It = Legs.erase(It);
+      delete L;
+      continue;
+    }
+    OutQ.push_back(L->RegFrame);
+    ++It;
+  }
+}
+
+/// One connect round: breaker admission, dial, handshake. The socket is
+/// published for wake() before the handshake, so shutdown never waits out
+/// the handshake budget.
+bool SpaceRouter::Channel::connect(BufferedConn &Conn) {
+  net::CircuitBreaker &Breaker = R.Pool.breaker(Index);
+  const net::ClientConfig &CC = R.Config.Shards[Index];
+  bool Probe = false;
+  if (!Breaker.tryAdmit(Probe))
+    return false;
+  Socket S = Socket::connectUntil(*R.Io, CC.Host.c_str(), CC.Port,
+                                  Deadline::in(CC.ConnectTimeoutNanos));
+  bool Ok = S.valid();
+  if (Ok) {
+    Conn = BufferedConn(std::move(S), CC.WriteHighWater);
+    std::lock_guard<SpinLock> G(Lock);
+    Ok = !R.Closing.load(std::memory_order_acquire);
+    if (Ok)
+      Sock = &Conn.socket();
+  }
+  Ok = Ok && handshake(Conn);
+  if (R.Closing.load(std::memory_order_acquire))
+    return false; // our own shutdown, not the shard's fault
+  if (Ok)
+    Breaker.recordSuccess();
+  else
+    Breaker.recordFailure();
+  return Ok;
+}
+
+void SpaceRouter::Channel::serve(BufferedConn &Conn) {
+  // Send the re-armed legs before any caller can write, then let callers
+  // write directly.
+  bool Up;
+  {
+    std::lock_guard<Mutex> W(WriteLock);
+    rearm();
+    Up = writeQueued(Conn);
+    if (Up)
+      Live = &Conn;
+  }
+  // The pump only reads. EOF, a reset, a shutdown() from a failed caller
+  // write or from router shutdown, or lost framing all end the connection.
+  std::vector<std::uint8_t> Frame;
+  while (Up && Conn.readFrame(Frame)) {
+    wire::Reader Rd(Frame.data(), Frame.size());
+    if (!Rd.ok())
+      break; // framing is lost; resync with a fresh connection
+    std::uint64_t Flow = Rd.takeFlow();
+    dispatch(Rd, Flow);
+  }
+  // Wake a caller parked in a write on this socket, then close the channel
+  // to callers before the socket goes away.
+  Conn.socket().shutdown();
+  std::lock_guard<Mutex> W(WriteLock);
+  Live = nullptr;
 }
 
 void SpaceRouter::Channel::run() {
   BufferedConn Conn{Socket()};
-  bool Up = false;
-  net::CircuitBreaker &Breaker = R.Pool.breaker(Index);
-  const net::ClientConfig &CC = R.Config.Shards[Index];
   while (!R.Closing.load(std::memory_order_acquire)) {
-    if (!Up) {
-      bool Probe = false;
-      bool Ok = Breaker.tryAdmit(Probe);
-      if (Ok) {
-        Socket S = Socket::connectUntil(*R.Io, CC.Host.c_str(), CC.Port,
-                                        Deadline::in(CC.ConnectTimeoutNanos));
-        Ok = S.valid();
-        if (Ok) {
-          Conn = BufferedConn(std::move(S), CC.WriteHighWater);
-          Ok = handshake(Conn);
-        }
-        if (Ok)
-          Breaker.recordSuccess();
-        else
-          Breaker.recordFailure();
-      }
-      if (!Ok) {
-        // Fail the queued legs *now*: their callers get Unavailable and
-        // can reroute, instead of hanging for the retry pause.
-        Conn = BufferedConn(Socket());
-        failAllLegs();
-        Sleeper.awaitUntil(
-            [&] { return R.Closing.load(std::memory_order_acquire); }, this,
-            Deadline::in(R.Config.ChannelRetryNanos));
-        continue;
-      }
-      Up = true;
-      // Re-arm every live leg on the fresh connection: the shard's
-      // per-connection registry started empty, so each unresolved leg
-      // re-sends its Register. Tombstones awaiting a Deliver from the
-      // *dead* connection can never be paid; orphan them.
-      {
-        std::lock_guard<SpinLock> G(Lock);
-        OutQ.clear();
-        for (auto It = Legs.begin(); It != Legs.end();) {
-          Leg *L = It->second;
-          if (L->DeliverOwed || L->RetractSent) {
-            R.Stats.Orphans.fetch_add(1, std::memory_order_relaxed);
-            resolveAndWake(L, false);
-            It = Legs.erase(It);
-            delete L;
-            continue;
-          }
-          OutQ.push_back(L->RegFrame);
-          ++It;
-        }
-      }
+    bool Connected = connect(Conn);
+    if (Connected)
+      serve(Conn);
+    {
+      std::lock_guard<SpinLock> G(Lock);
+      Sock = nullptr;
     }
-    if (!drainOut(Conn)) {
-      Up = false;
-      continue;
-    }
-    std::vector<std::uint8_t> Frame;
-    if (!Conn.readFrame(Frame, Deadline::in(R.Config.ChannelPollNanos))) {
-      if (errno == ETIMEDOUT)
-        continue;
-      Up = false; // EOF/reset: reconnect lap re-arms
-      continue;
-    }
-    wire::Reader Rd(Frame.data(), Frame.size());
-    if (!Rd.ok()) {
-      Up = false; // framing is lost; resync with a fresh connection
-      continue;
-    }
-    std::uint64_t Flow = Rd.takeFlow();
-    dispatch(Rd, Flow);
+    Conn = BufferedConn(Socket());
+    if (Connected)
+      continue; // reconnect at once; the next connect re-arms live legs
+    // Fail the queued legs *now*: their callers get Unavailable and can
+    // reroute, instead of hanging for the retry pause.
+    failAllLegs();
+    Sleeper.awaitUntil(
+        [&] { return R.Closing.load(std::memory_order_acquire); }, this,
+        Deadline::in(R.Config.ChannelRetryNanos));
   }
   failAllLegs(); // shutdown: parked callers wake and report Canceled
 }
@@ -472,6 +543,8 @@ SpaceRouter::~SpaceRouter() { shutdown(); }
 
 void SpaceRouter::shutdown() {
   Closing.store(true, std::memory_order_release);
+  for (auto &Ch : Channels)
+    Ch->wake();
   for (auto &Ch : Channels)
     Ch->join();
   std::vector<ThreadRef> Hs;
@@ -847,15 +920,30 @@ Status SpaceRouter::matchOnce(const std::vector<std::size_t> &Cands,
     }
   }
 
-  WaitResult WR = Op.Done.awaitUntil(
-      [&] {
-        std::lock_guard<SpinLock> G(Op.Lock);
-        return Op.HasMatch || Op.LegsLive == 0;
-      },
-      &Op, D);
-  for (std::size_t S : Armed)
-    Channels[S]->detach(Id);
-  // Every leg is detached: Op is private to this frame again.
+  // Unhooks Op from every leg, then sends the Retracts that queued. Op is
+  // private to this frame again once the detach loop finishes, so the
+  // writes after it (which may park) can never strand a leg on it.
+  auto DetachAll = [&] {
+    for (std::size_t S : Armed)
+      Channels[S]->detach(Id);
+    for (std::size_t S : Armed)
+      Channels[S]->flush();
+  };
+  WaitResult WR;
+  try {
+    for (std::size_t S : Armed)
+      Channels[S]->flush();
+    WR = Op.Done.awaitUntil(
+        [&] {
+          std::lock_guard<SpinLock> G(Op.Lock);
+          return Op.HasMatch || Op.LegsLive == 0;
+        },
+        &Op, D);
+  } catch (...) {
+    DetachAll(); // async cancellation: Op dies with this frame
+    throw;
+  }
+  DetachAll();
 
   if (Op.HasMatch) {
     // Resolve the delivered wire fields into shared-heap values. Root the

@@ -42,9 +42,13 @@
 ///    any registration can arm on resurrected state.
 ///
 /// Unary requests ride the pool's net::Clients (retry/backoff/breaker);
-/// registrations ride one dedicated channel per shard — a pump thread
-/// owning the socket, with a Hello/HelloOk version handshake, that
-/// re-arms live registrations after a reconnect.
+/// registrations ride one dedicated channel per shard. The calling thread
+/// writes its own Register and Retract frames (in order, under the
+/// channel's write lock); a pump thread owns the connection — it dials,
+/// runs the Hello/HelloOk version handshake, re-arms live registrations
+/// after a reconnect — and otherwise only blocks in an untimed read for
+/// Deliver/Retracted frames. Nothing polls: a match wakes on the Deliver's
+/// arrival, and shutdown wakes the pump by shutting its socket down.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,8 +77,6 @@ struct RouterConfig {
   std::vector<net::ClientConfig> Shards;
   /// Pooled unary connections per shard.
   std::size_t MaxConnectionsPerShard = 4;
-  /// Channel pump poll period: bounds push-dispatch and shutdown latency.
-  std::uint64_t ChannelPollNanos = 1'000'000;
   /// Pause between failed channel connect rounds (each failed round also
   /// fails the legs queued on that channel, so callers are never gated on
   /// this pause — it only paces the dials).

@@ -32,6 +32,12 @@ template <typename Pick> void chargeVp(Pick P) {
     P(Vp->stats()).inc();
 }
 
+/// Disables Nagle on a connected stream (see the Socket class comment).
+void setNoDelay(int Fd) {
+  int One = 1;
+  setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+}
+
 } // namespace
 
 Socket::Socket(IoService &Io, int Fd) : Io(&Io), Fd(Fd) {
@@ -44,6 +50,11 @@ void Socket::close() {
     return;
   ::close(Fd);
   Fd = -1;
+}
+
+void Socket::shutdown() {
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
 }
 
 ssize_t Socket::readUntil(void *Buf, std::size_t N, Deadline D) {
@@ -158,6 +169,7 @@ Socket Socket::connectUntil(IoService &Io, const char *Host,
       return Socket();
     }
   }
+  setNoDelay(Fd);
   return Socket(Io, Fd);
 }
 
@@ -225,6 +237,7 @@ Socket Listener::acceptUntil(Deadline D) {
         spinForNanos(50'000);
       }
       chargeVp([](obs::SchedStats &S) -> auto & { return S.NetAccepts; });
+      setNoDelay(Conn);
       return Socket(*Io, Conn);
     }
     if (errno != EAGAIN && errno != EWOULDBLOCK)

@@ -33,7 +33,10 @@
 namespace sting::net {
 
 /// A connected TCP stream, move-only, closing its descriptor on
-/// destruction. All I/O parks the calling thread (not the VP) until the
+/// destruction. Streams made by connectUntil/acceptUntil run with
+/// TCP_NODELAY: the protocols here are small request/reply and push
+/// frames, and Nagle's algorithm would hold a frame written behind an
+/// unacknowledged one until the peer's delayed ACK (~40 ms). All I/O parks the calling thread (not the VP) until the
 /// kernel is ready; deadline overruns surface as -1 with errno=ETIMEDOUT,
 /// service shutdown as -1 with errno=ECANCELED.
 class Socket {
@@ -85,8 +88,16 @@ public:
   /// Timed writeAll; false with errno=ETIMEDOUT if \p D expires first.
   bool writeAllUntil(const void *Buf, std::size_t N, Deadline D);
 
-  /// Closes the descriptor now (idempotent).
+  /// Closes the descriptor now (idempotent). Never call it while another
+  /// thread may be parked on the socket: a closed descriptor silently
+  /// leaves the poller's interest set and the waiter would never wake.
   void close();
+
+  /// Shuts down both directions (::shutdown(fd, SHUT_RDWR)) but keeps the
+  /// descriptor open: every thread parked in a read wakes to EOF and every
+  /// parked write fails (EPIPE), while the fd stays valid under them. The
+  /// way to wake a socket's own reader from another thread. Idempotent.
+  void shutdown();
 
   /// Releases ownership of the descriptor without closing it.
   int release() {

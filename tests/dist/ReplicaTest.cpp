@@ -19,6 +19,7 @@
 #include "core/VirtualMachine.h"
 #include "dist/Shard.h"
 #include "dist/SpaceRouter.h"
+#include "sync/ParkList.h"
 #include "gtest/gtest.h"
 
 #include <memory>
@@ -559,6 +560,51 @@ TEST(ReplicaTest, StaleRefusalCarriesTheEpochSoARouterFarBehindConverges) {
     Match M;
     REQUIRE_OK(RS.Router->take(std::move(Tmpl), M) == Status::Ok);
     EXPECT_EQ(M.binding(0).asFixnum(), 7);
+    EXPECT_TRUE(RS.quiesce());
+    RS.teardown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(ReplicaTest, TakeArmedBeforeItsPutIsTombstonedBeforeDelivery) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ReplicatedSpace RS(Vm, Io, 2);
+    REQUIRE_OK(RS.valid());
+
+    const std::int64_t K = keysHomedOn(0, 2, 2, 1)[0];
+    ThreadRef Taker = TC::forkThread([&]() -> AnyValue {
+      Tuple Tmpl;
+      Tmpl.emplace_back(K);
+      Tmpl.push_back(formal(0));
+      Match M;
+      if (RS.Router->take(std::move(Tmpl), M) != Status::Ok)
+        return AnyValue(static_cast<std::int64_t>(-1));
+      return AnyValue(M.binding(0).asFixnum());
+    });
+    // Registered (and armed) on slot 0's primary before the put exists.
+    Deadline Armed = Deadline::in(5'000'000'000);
+    while (RS.Spaces[0]->stats().Takes.load() == 0 && !Armed.expired())
+      TC::yieldProcessor();
+    REQUIRE_OK(RS.Spaces[0]->stats().Takes.load() != 0);
+    ParkList Nap;
+    (void)Nap.awaitUntil([] { return false; }, &Nap, Deadline::in(10'000'000));
+
+    // The RepPut lands on a pooled connection: its thread deposits, the
+    // registration's push writer forwards the RepRetract and then writes
+    // the Deliver — never the depositor.
+    REQUIRE_OK(RS.Router->put(makeTuple(K, 9)) == Status::Ok);
+    EXPECT_EQ(TC::threadValue(*Taker).as<std::int64_t>(), 9);
+
+    // Delivered ⇒ tombstoned: the backup dropped its copy before the
+    // taker could see the tuple, so promoting it now materializes nothing.
+    Replica::Ack A = RS.Reps[1]->onPromote(0, 1);
+    EXPECT_TRUE(A.Ok);
+    EXPECT_EQ(A.Info, 0) << "promotion resurrected a delivered tuple";
+    EXPECT_EQ(RS.servingSize(), 0u);
+    EXPECT_EQ(RS.Reps[0]->statsSnapshot().ForwardFailures, 0u);
     EXPECT_TRUE(RS.quiesce());
     RS.teardown();
     return AnyValue(true);

@@ -8,7 +8,10 @@
 // Deliveries + Retracts + Orphans); a dead home shard fails puts over in
 // ring order and reroutes registrations to survivors; Unavailable is
 // reported only when every candidate shard's breaker is open; and a
-// version-mismatched shard answers with a clean Err, never a hang.
+// version-mismatched shard answers with a clean Err, never a hang. The
+// registration channel is event-driven at both ends: an armed take idles
+// without a single timed wakeup, shutdown wakes it, and several routers
+// can share one ring.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +22,15 @@
 #include "core/VirtualMachine.h"
 #include "dist/Shard.h"
 #include "net/Wire.h"
+#include "sync/ParkList.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include <sys/socket.h>
 
 namespace {
 
@@ -45,6 +52,7 @@ struct ShardedSpace {
   std::vector<TupleSpaceRef> Spaces;
   std::vector<std::unique_ptr<net::Server>> Servers;
   std::unique_ptr<SpaceRouter> Router;
+  std::vector<net::ClientConfig> Ring; ///< for a second router
 
   ShardedSpace(VirtualMachine &Vm, IoService &Io, std::size_t N,
                RouterConfig RC = {}) {
@@ -58,6 +66,7 @@ struct ShardedSpace {
       CC.RequestTimeoutNanos = 2'000'000'000;
       RC.Shards.push_back(CC);
     }
+    Ring = RC.Shards;
     Router = std::make_unique<SpaceRouter>(Vm, Io, std::move(RC));
   }
 
@@ -131,6 +140,24 @@ struct ShardedSpace {
     }
   }
 };
+
+/// Yields until \p Done() holds or \p D expires. \returns Done().
+template <typename Pred>
+bool waitUntil(Pred Done, Deadline D = Deadline::in(5'000'000'000)) {
+  while (!Done()) {
+    if (D.expired())
+      return false;
+    TC::yieldProcessor();
+  }
+  return true;
+}
+
+/// Parks the calling sting thread for \p Nanos: a timed wait nobody
+/// wakes, so it costs no I/O wait.
+void napFor(std::uint64_t Nanos) {
+  ParkList Never;
+  (void)Never.awaitUntil([] { return false; }, &Never, Deadline::in(Nanos));
+}
 
 /// A fixnum key whose home shard (routeKey % Shards) is \p Want, found by
 /// scanning — placement is a stable hash, not something a test may assume.
@@ -592,6 +619,306 @@ TEST(RouterTest, ShardAnswersVersionMismatchWithErrNotHang) {
     // hang (a second Hello would go nowhere).
     EXPECT_FALSE(C.readFrame(Frame, Deadline::in(2'000'000'000)));
     Server->shutdown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, ArmedTakeIdlesWithoutTimedWakeups) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ShardedSpace SS(Vm, Io, 3);
+    REQUIRE_OK(SS.valid());
+
+    // A wildcard take with nothing to match: one leg armed on every shard.
+    ThreadRef Taker = TC::forkThread([&]() -> AnyValue {
+      Tuple Tmpl;
+      Tmpl.push_back(formal(0));
+      Tmpl.emplace_back("idle");
+      Match M;
+      Status St =
+          SS.Router->takeUntil(std::move(Tmpl), Deadline::in(20'000'000'000), M);
+      return AnyValue(St == Status::Ok && M.binding(0).asFixnum() == 5);
+    });
+    REQUIRE_OK(waitUntil([&] {
+      for (auto &Sp : SS.Spaces)
+        if (Sp->stats().Takes.load() == 0)
+          return false;
+      return true;
+    }));
+    napFor(20'000'000); // every registration lands; the readers re-park
+
+    // Idle: the pumps and the shard readers sit in untimed reads and the
+    // push writers on their wake lists. A poll lap would re-arm a timed
+    // read (one I/O wait) per channel per period.
+    std::uint64_t Before = Io.stats().Waits.load();
+    napFor(50'000'000);
+    std::uint64_t After = Io.stats().Waits.load();
+    EXPECT_EQ(After, Before) << "an idle armed take is polling";
+
+    REQUIRE_OK(SS.Router->put(makeTuple(5, "idle")) == Status::Ok);
+    EXPECT_TRUE(TC::threadValue(*Taker).as<bool>());
+    EXPECT_TRUE(SS.noLegs());
+    SS.teardown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, ShutdownCancelsAnArmedTakeWithoutHanging) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ShardedSpace SS(Vm, Io, 3);
+    REQUIRE_OK(SS.valid());
+
+    ThreadRef Taker = TC::forkThread([&]() -> AnyValue {
+      Tuple Tmpl;
+      Tmpl.push_back(formal(0));
+      Tmpl.emplace_back("never");
+      Match M;
+      return AnyValue(static_cast<int>(SS.Router->take(std::move(Tmpl), M)));
+    });
+    REQUIRE_OK(waitUntil([&] {
+      for (auto &Sp : SS.Spaces)
+        if (Sp->stats().Takes.load() == 0)
+          return false;
+      return true;
+    }));
+
+    // Every pump is parked in an untimed read: shutdown must wake them
+    // (socket shutdown), fail the legs, and let the caller report
+    // Canceled — promptly, not after some timeout.
+    SS.Router->shutdown();
+    REQUIRE_OK(TC::threadWaitFor(*Taker, Deadline::in(5'000'000'000)));
+    EXPECT_EQ(TC::threadValue(*Taker).as<int>(),
+              static_cast<int>(Status::Canceled));
+    EXPECT_EQ(SS.Router->pendingLegs(), 0u);
+    for (auto &S : SS.Servers)
+      S->shutdown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, TakeArmedBeforeItsPutIsDeliveredFromAPoolConnection) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ShardedSpace SS(Vm, Io, 3);
+    REQUIRE_OK(SS.valid());
+
+    const std::int64_t K = keyHomedOn(0, 3, 2);
+    ThreadRef Taker = TC::forkThread([&]() -> AnyValue {
+      Tuple Tmpl;
+      Tmpl.emplace_back(K);
+      Tmpl.push_back(formal(0));
+      Match M;
+      if (SS.Router->take(std::move(Tmpl), M) != Status::Ok)
+        return AnyValue(static_cast<std::int64_t>(-1));
+      return AnyValue(M.binding(0).asFixnum());
+    });
+    REQUIRE_OK(waitUntil([&] { return SS.Spaces[0]->stats().Takes.load() != 0; }));
+    napFor(10'000'000); // the registration is armed, not mid-register
+
+    // The put arrives on a pooled unary connection: its connection thread
+    // is the depositor, a stranger to the registration's connection, and
+    // the match must still reach the taker through that connection's
+    // push writer.
+    REQUIRE_OK(SS.Router->put(makeTuple(K, 77)) == Status::Ok);
+    EXPECT_EQ(TC::threadValue(*Taker).as<std::int64_t>(), 77);
+    EXPECT_EQ(SS.Spaces[0]->size(), 0u);
+    EXPECT_EQ(SS.Router->statsSnapshot().Deliveries, 1u);
+    SS.teardown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, TerminatedTakerRetractsItsLegs) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ShardedSpace SS(Vm, Io, 3);
+    REQUIRE_OK(SS.valid());
+
+    const std::int64_t K = keyHomedOn(0, 3, 2);
+    ThreadRef Taker = TC::forkThread([&]() -> AnyValue {
+      Tuple Tmpl;
+      Tmpl.emplace_back(K);
+      Tmpl.push_back(formal(0));
+      Match M;
+      (void)SS.Router->take(std::move(Tmpl), M);
+      return AnyValue(true);
+    });
+    REQUIRE_OK(waitUntil([&] { return SS.Spaces[0]->stats().Takes.load() != 0; }));
+    napFor(10'000'000);
+
+    // Async cancellation unwinds the taker out of its wait. Its match
+    // record dies with its stack frame, so every leg must be unhooked and
+    // retracted on the way out — none may linger pointing at the frame.
+    TC::threadTerminate(*Taker);
+    REQUIRE_OK(TC::threadWaitFor(*Taker, Deadline::in(5'000'000'000)));
+    EXPECT_TRUE(Taker->wasTerminated());
+    EXPECT_TRUE(SS.noLegs()) << "a dead taker's leg is still armed";
+
+    // With the registration gone, a matching put comes to rest.
+    REQUIRE_OK(SS.Router->put(makeTuple(K, 5)) == Status::Ok);
+    EXPECT_TRUE(SS.allDeposited(1));
+    SS.teardown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, TwoRoutersShareOneRing) {
+  VmConfig Config;
+  Config.NumVps = 4;
+  Config.NumPps = 4;
+  VirtualMachine Vm(Config);
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    ShardedSpace SS(Vm, Io, 3);
+    REQUIRE_OK(SS.valid());
+    // A second router over the same shards. Both number registrations
+    // from 1, so their ids collide on every shard from the first take.
+    RouterConfig RC2;
+    RC2.Shards = SS.Ring;
+    SpaceRouter Other(Vm, Io, std::move(RC2));
+    SpaceRouter *Routers[2] = {SS.Router.get(), &Other};
+
+    const int Tokens = 4, Workers = 4, Iters = 15;
+    for (int T = 0; T != Tokens; ++T)
+      REQUIRE_OK(Routers[T % 2]->put(makeTuple(T, "tok", 0)) == Status::Ok);
+
+    // Worker W uses router W % 2; workers 0 and 1 take by concrete id,
+    // workers 2 and 3 by wildcard (a leg on every shard).
+    std::vector<ThreadRef> Ws;
+    for (int W = 0; W != Workers; ++W)
+      Ws.push_back(TC::forkThread([&, W]() -> AnyValue {
+        SpaceRouter &R = *Routers[W % 2];
+        for (int I = 0; I != Iters; ++I) {
+          Match M;
+          Tuple Tmpl;
+          if (W < 2)
+            Tmpl.emplace_back(W % Tokens);
+          else
+            Tmpl.push_back(formal(1));
+          Tmpl.emplace_back("tok");
+          Tmpl.push_back(formal(0));
+          if (R.take(std::move(Tmpl), M) != Status::Ok)
+            return AnyValue(false);
+          std::int64_t Id = W < 2 ? W % Tokens : M.binding(1).asFixnum();
+          if (R.put(makeTuple(Id, "tok", M.binding(0).asFixnum() + 1)) !=
+              Status::Ok)
+            return AnyValue(false);
+        }
+        return AnyValue(true);
+      }));
+    bool AllOk = true;
+    for (ThreadRef &T : Ws)
+      AllOk = TC::threadValue(*T).as<bool>() && AllOk;
+    REQUIRE_OK(AllOk);
+
+    // Conservation across both routers: every token back at rest, and the
+    // values sum to the number of increments.
+    REQUIRE_OK(waitUntil([&] {
+      return SS.Router->pendingLegs() == 0 && Other.pendingLegs() == 0;
+    }));
+    EXPECT_TRUE(SS.allDeposited(Tokens));
+    std::int64_t Sum = 0;
+    int Count = 0;
+    for (;; ++Count) {
+      Tuple Tmpl;
+      Tmpl.push_back(formal(0));
+      Tmpl.emplace_back("tok");
+      Tmpl.push_back(formal(1));
+      Match M;
+      if (Routers[Count % 2]->tryTake(std::move(Tmpl), M) != Status::Ok)
+        break;
+      Sum += M.binding(1).asFixnum();
+      EXPECT_TRUE(waitUntil([&] {
+        return SS.Router->pendingLegs() == 0 && Other.pendingLegs() == 0;
+      }));
+    }
+    EXPECT_EQ(Count, Tokens);
+    EXPECT_EQ(Sum, static_cast<std::int64_t>(Workers) * Iters);
+    for (SpaceRouter *R : Routers)
+      EXPECT_EQ(R->statsSnapshot().Orphans, 0u)
+          << "a registration was refused (colliding ids?)";
+    Other.shutdown();
+    SS.teardown();
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(RouterTest, ShardShutdownReturnsTheFrameAKilledPushWriterHeld) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    namespace wire = net::wire;
+    TupleSpaceRef Space = TupleSpace::create();
+    auto Server = net::Server::start(Vm, Io, shardHandler(Space));
+    REQUIRE_OK(Server != nullptr);
+
+    net::BufferedConn C(
+        net::Socket::connectTo(Io, "127.0.0.1", Server->port()));
+    REQUIRE_OK(C.valid());
+    // A small receive window, so the shard's socket fills with a few MB.
+    int Small = 64 * 1024;
+    setsockopt(C.socket().fd(), SOL_SOCKET, SO_RCVBUF, &Small, sizeof(Small));
+    auto Send = [&C](const wire::Writer &W) {
+      return C.writeFrame(W.payload().data(), W.payload().size()) &&
+             C.flush();
+    };
+    wire::Writer Hello(wire::Op::Hello);
+    Hello.fixnum(WireVersion);
+    REQUIRE_OK(Send(Hello));
+    std::vector<std::uint8_t> Frame;
+    REQUIRE_OK(C.readFrame(Frame, Deadline::in(2'000'000'000)));
+
+    // One take registration per key, then a big matching tuple per key:
+    // every put consumes its tuple into a Deliver frame at once, and the
+    // frames outgrow what the socket can hold, because this peer never
+    // reads. The push writer parks mid-write holding one frame.
+    const int N = 40;
+    const std::string Big(128 * 1024, 'x');
+    for (int I = 0; I != N; ++I) {
+      wire::Writer W(wire::Op::Register);
+      W.fixnum(I + 1);
+      W.fixnum(1); // take
+      REQUIRE_OK(writeTupleFields(W, makeTuple(I, formal(0))));
+      REQUIRE_OK(Send(W));
+    }
+    REQUIRE_OK(waitUntil([&] {
+      return Space->stats().Takes.load() == static_cast<std::uint64_t>(N);
+    }));
+    for (int I = 0; I != N; ++I) {
+      Tuple T;
+      T.emplace_back(I);
+      T.push_back(Field::blob(Big));
+      Space->put(std::move(T));
+    }
+    EXPECT_EQ(Space->size(), 0u) << "every put should have been consumed";
+    napFor(100'000'000);
+
+    // Kill-group: the parked writer unwinds. Its frame, and every frame
+    // still queued, must put its tuple back.
+    Server->shutdown();
+
+    // What the shard did flush is readable up to a truncated tail frame.
+    int Delivered = 0;
+    while (C.readFrame(Frame, Deadline::in(2'000'000'000))) {
+      wire::Reader R(Frame.data(), Frame.size());
+      if (R.ok() && R.op() == wire::Op::Deliver)
+        ++Delivered;
+    }
+    EXPECT_LT(Delivered, N) << "the socket never filled; nothing tested";
+    EXPECT_EQ(static_cast<std::size_t>(Delivered) + Space->size(),
+              static_cast<std::size_t>(N))
+        << "a consumed tuple was neither delivered nor put back";
     return AnyValue(true);
   });
   EXPECT_TRUE(V.as<bool>());

@@ -15,6 +15,10 @@
 #include <cstring>
 #include <string>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 namespace {
 
 using namespace sting;
@@ -155,6 +159,56 @@ TEST(SocketTest, TerminateCancelsParkedReader) {
     TC::threadWait(*Reader);
     EXPECT_TRUE(Reader->wasTerminated());
     EXPECT_EQ(Io.waiterCount(), 0u); // no queue residue
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(SocketTest, ConnectedStreamsRunWithNoDelayOnBothEnds) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    Listener L = Listener::listenOn(Io, 0);
+    Socket C = Socket::connectTo(Io, "127.0.0.1", L.port());
+    Socket A = L.accept();
+    EXPECT_TRUE(C.valid() && A.valid());
+    // Nagle off on the dialing and the accepting side alike: a small frame
+    // written behind an unacknowledged one must not wait for a delayed ACK.
+    for (const Socket *S : {&C, &A}) {
+      int On = 0;
+      socklen_t Len = sizeof(On);
+      EXPECT_EQ(getsockopt(S->fd(), IPPROTO_TCP, TCP_NODELAY, &On, &Len), 0);
+      EXPECT_NE(On, 0);
+    }
+    return AnyValue(true);
+  });
+  EXPECT_TRUE(V.as<bool>());
+}
+
+TEST(SocketTest, ShutdownWakesAParkedReaderWithoutClosing) {
+  VirtualMachine Vm;
+  IoService Io;
+  AnyValue V = Vm.run([&]() -> AnyValue {
+    Listener L = Listener::listenOn(Io, 0);
+    Socket C = Socket::connectTo(Io, "127.0.0.1", L.port());
+    Socket A = L.accept();
+    EXPECT_TRUE(C.valid() && A.valid());
+
+    std::atomic<bool> Parked{false};
+    ThreadRef Reader = TC::forkThread([&]() -> AnyValue {
+      char Buf[8];
+      Parked.store(true);
+      // Untimed: only the shutdown below can end this read.
+      return AnyValue(static_cast<std::int64_t>(A.read(Buf, sizeof(Buf))));
+    });
+    while (!Parked.load())
+      TC::yieldProcessor();
+
+    A.shutdown();
+    EXPECT_EQ(TC::threadValue(*Reader).as<std::int64_t>(), 0) << "not EOF";
+    EXPECT_TRUE(A.valid()) << "shutdown must keep the descriptor open";
+    EXPECT_EQ(Io.waiterCount(), 0u);
+    A.shutdown(); // idempotent
     return AnyValue(true);
   });
   EXPECT_TRUE(V.as<bool>());
