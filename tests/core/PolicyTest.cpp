@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <ostream>
 
 namespace {
 
@@ -30,6 +31,26 @@ struct PolicyCase {
 };
 
 class PolicyConformanceTest : public ::testing::TestWithParam<PolicyCase> {};
+
+// gtest prints a PolicyCase as its raw bytes, i.e. two pointers that ASLR
+// moves on every run, and that printout is part of the test's ID. The cases
+// below print as the policy's name instead, so their IDs are stable.
+struct NamedPolicyCase {
+  explicit NamedPolicyCase(PolicyCase C) : Case(C) {}
+  PolicyCase Case;
+};
+
+void PrintTo(const NamedPolicyCase &C, std::ostream *OS) { *OS << C.Case.Name; }
+
+class PolicyForkTreeTest : public ::testing::TestWithParam<NamedPolicyCase> {};
+
+auto builtinPolicies() {
+  return ::testing::Values(PolicyCase{"LocalFifo", &makeLocalFifoPolicy},
+                           PolicyCase{"LocalLifo", &makeLocalLifoPolicy},
+                           PolicyCase{"GlobalFifo", &makeGlobalFifoPolicy},
+                           PolicyCase{"Priority", &makePriorityPolicy},
+                           PolicyCase{"StealHalf", &makeStealHalfPolicy});
+}
 
 TEST_P(PolicyConformanceTest, AllForkedThreadsComplete) {
   VirtualMachine Vm(VmConfig{.NumVps = 4, .Policy = GetParam().Make()});
@@ -45,8 +66,8 @@ TEST_P(PolicyConformanceTest, AllForkedThreadsComplete) {
   EXPECT_EQ(Count.load(), 100);
 }
 
-TEST_P(PolicyConformanceTest, NestedForkJoinTree) {
-  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Make()});
+TEST_P(PolicyForkTreeTest, NestedForkJoinTree) {
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Case.Make()});
   // A binary fork tree of depth 5 summing leaves.
   struct Node {
     static AnyValue compute(int Depth) {
@@ -89,14 +110,15 @@ TEST_P(PolicyConformanceTest, BlockingAndResumptionWork) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, PolicyConformanceTest,
-    ::testing::Values(PolicyCase{"LocalFifo", &makeLocalFifoPolicy},
-                      PolicyCase{"LocalLifo", &makeLocalLifoPolicy},
-                      PolicyCase{"GlobalFifo", &makeGlobalFifoPolicy},
-                      PolicyCase{"Priority", &makePriorityPolicy},
-                      PolicyCase{"StealHalf", &makeStealHalfPolicy}),
+    AllPolicies, PolicyConformanceTest, builtinPolicies(),
     [](const ::testing::TestParamInfo<PolicyCase> &Info) {
       return Info.param.Name;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PolicyForkTreeTest, builtinPolicies(),
+    [](const ::testing::TestParamInfo<NamedPolicyCase> &Info) {
+      return Info.param.Case.Name;
     });
 
 TEST(PriorityPolicyTest, HigherPriorityDispatchesFirst) {
