@@ -14,8 +14,8 @@
 /// (section 2 item 4).
 ///
 /// A PhysicalPolicy picks which assigned VP a physical processor enters
-/// next. Returning null sends the PP to sleep on the machine's idle event
-/// count until new work is published.
+/// next. Returning null sends the PP to sleep in epoll_wait on its own set
+/// until new work is published or a descriptor armed there turns ready.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,15 +12,10 @@
 
 namespace sting {
 
-namespace {
-/// How long an idle PP naps before re-polling (it is also woken eagerly by
-/// notifyWork on any enqueue).
-constexpr std::uint64_t IdleNapNanos = 1'000'000; // 1 ms
-} // namespace
-
 PhysicalProcessor::PhysicalProcessor(VirtualMachine &Vm, unsigned Index,
                                      std::unique_ptr<PhysicalPolicy> Policy)
-    : Vm(&Vm), Index(Index), Policy(std::move(Policy)) {
+    : Vm(&Vm), Index(Index), Policy(std::move(Policy)),
+      Poll(PollSet::create()) {
   STING_CHECK(this->Policy, "physical processor needs a policy");
 }
 
@@ -30,6 +25,7 @@ PhysicalProcessor::~PhysicalProcessor() {
 
 void PhysicalProcessor::assignVp(VirtualProcessor &Vp) {
   Vps.push_back(&Vp);
+  Vp.Pp = this; // pinned for life
 }
 
 void PhysicalProcessor::start() {
@@ -46,27 +42,35 @@ void PhysicalProcessor::run() {
 
   EventCount &Idle = Vm->idleEventCount();
   while (!Vm->isShuttingDown()) {
+    // A busy PP still takes readiness for threads on its VPs, once per
+    // pass: a VP returns here at least every VpSliceNanos.
+    if (Poll->hasArmed())
+      Poll->wait(0);
     VirtualProcessor *Vp = Policy->nextVp(*this);
     if (!Vp) {
-      // Sleep until an enqueue notifies, with a nap cap as a safety net.
-      // The eventcount handshake: register as a waiter, re-check every
-      // VP's queues, and only then sleep — an enqueue that lands between
-      // the re-check and the sleep sees the waiter registration and bumps
-      // the epoch, so the commit returns immediately (no lost wakeups).
+      // Sleep in epoll_wait until an enqueue writes our wake fd or a
+      // descriptor armed here turns ready. The eventcount handshake:
+      // register as a waiter, re-check every VP's queues, and only then
+      // list the wake fd — an enqueue that lands after the re-check sees
+      // the registration and either moves the epoch (commitSleep refuses)
+      // or writes the listed fd (no lost wakeups; support/EventCount.h).
       EventCount::Key K = Idle.prepareWait();
       bool Work = false;
       for (VirtualProcessor *Candidate : Vps)
         Work |= Candidate->hasReadyWork();
-      if (Work || Vm->isShuttingDown())
+      if (Work || Vm->isShuttingDown()) {
         Idle.cancelWait();
-      else
-        Idle.commitWait(K, IdleNapNanos);
+      } else if (Idle.commitSleep(K, Poll->wakeFd())) {
+        Poll->wait(-1);
+        if (Idle.endSleep(Poll->wakeFd()))
+          EventCount::drainWake(Poll->wakeFd());
+        Vps.front()->stats().PpWakeups.inc();
+      }
       Policy->workPublished(*this);
       continue;
     }
 
     ++Switches;
-    Vp->Pp = this;
     currentCursor().Vp = Vp;
 #ifdef STING_TRACE
     // Point this OS thread's event sink at the VP it is about to run: a VP

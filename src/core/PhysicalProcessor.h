@@ -12,8 +12,10 @@
 /// substitution table in DESIGN.md).
 ///
 /// Each PP owns a VP-level scheduling policy (round-robin over its assigned
-/// VPs, skipping VPs with no ready work) and parks on the machine's idle
-/// event count when no VP anywhere has work.
+/// VPs, skipping VPs with no ready work) and an epoll set (core/PollSet.h).
+/// When no VP anywhere has work it sleeps in epoll_wait on that set, listed
+/// with the machine's idle event count, so an enqueue or the readiness of
+/// a descriptor a thread on its VPs waits for wakes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 
 #include "arch/Context.h"
 #include "core/PhysicalPolicy.h"
+#include "core/PollSet.h"
 
 #include <cstdint>
 #include <memory>
@@ -65,6 +68,10 @@ public:
   /// The VP-scheduling policy this processor is closed over.
   PhysicalPolicy &policy() { return *Policy; }
 
+  /// The epoll set this processor sleeps on; I/O clients arm descriptors
+  /// here for threads running on its VPs.
+  PollSet &pollSet() const { return *Poll; }
+
 private:
   friend class VirtualProcessor;
 
@@ -73,6 +80,7 @@ private:
   VirtualMachine *Vm;
   unsigned Index;
   std::unique_ptr<PhysicalPolicy> Policy;
+  IntrusivePtr<PollSet> Poll;
   std::vector<VirtualProcessor *> Vps;
   std::thread Os;
   Context PpCtx;

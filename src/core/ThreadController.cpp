@@ -709,12 +709,13 @@ void ThreadController::runToCompletion(Tcb &C) {
   Thread &T = *C.thread();
   if (T.SuspendOnStart.exchange(false, std::memory_order_acq_rel))
     C.requestSuspend(T.SuspendOnStartQuantum);
-  applyRequests(C); // suspend/terminate before the first instruction
-
   AnyValue Value;
   bool DidFail = false;
   bool ViaTerminate = false;
   try {
+    // Suspend/terminate before the first instruction; a terminate that
+    // lands here determines the thread like one that unwinds its body.
+    applyRequests(C);
     Value = T.Code();
   } catch (ThreadTerminated &E) {
     // A terminate request (or terminateSelf) unwound the whole body; the

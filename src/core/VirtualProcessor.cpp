@@ -81,12 +81,16 @@ void VirtualProcessor::enqueue(Schedulable &Item, EnqueueReason Reason) {
   // Attribute the enqueue to the VP doing the inserting (single-writer
   // fast path); producers with no VP — the clock, external callers —
   // charge the target with a shared increment.
-  if (VirtualProcessor *Cur = currentVp())
-    Cur->Stats.Enqueues.inc();
+  const ExecutionCursor &Cur = currentCursor();
+  if (Cur.Vp)
+    Cur.Vp->Stats.Enqueues.inc();
   else
     Stats.Enqueues.incShared();
   Policy->enqueueThread(Item, *this, Reason);
-  Vm->notifyWork();
+  // Readiness dispatched by this VP's own PP, between VPs: that PP picks
+  // its next VP right after, so no other processor needs waking.
+  if (Cur.Vp || Cur.Pp != Pp)
+    Vm->notifyWork();
 }
 
 VirtualProcessor &VirtualProcessor::leftVp() const {
@@ -118,7 +122,7 @@ void VirtualProcessor::schedulerLoop() {
     // Yield to the physical processor when the machine is coming down,
     // when this VP's time slice (or dispatch backstop) is exhausted, or
     // when there is no work. The PP decides what runs next (another VP,
-    // or a nap).
+    // or a sleep in its epoll set).
     bool ShouldYield = Vm->isShuttingDown();
     if (!ShouldYield && --DispatchBudget <= 0)
       ShouldYield = true;

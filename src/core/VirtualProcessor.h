@@ -71,7 +71,8 @@ public:
   /// The policy manager this VP is closed over.
   PolicyManager &policy() { return *Policy; }
 
-  /// The physical processor currently executing this VP (null if none).
+  /// The physical processor this VP is pinned to for life (set when the
+  /// machine assigns it, before any PP starts).
   PhysicalProcessor *physicalProcessor() const { return Pp; }
 
   const obs::SchedStats &stats() const { return Stats; }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// RAII non-blocking TCP endpoints whose blocking operations park the
-/// calling *thread* on the IoService poller — never the VP, which keeps
+/// calling *thread* in IoService — never the VP, which keeps
 /// dispatching other threads (the paper's non-blocking I/O requirement,
 /// section 6, applied to sockets). Every operation has a Deadline-taking
 /// variant, and all of them ride awaitUntil's cancellation protocol: a
@@ -90,7 +90,7 @@ public:
 
   /// Closes the descriptor now (idempotent). Never call it while another
   /// thread may be parked on the socket: a closed descriptor silently
-  /// leaves the poller's interest set and the waiter would never wake.
+  /// leaves its PP's epoll set and the waiter would never wake.
   void close();
 
   /// Shuts down both directions (::shutdown(fd, SHUT_RDWR)) but keeps the

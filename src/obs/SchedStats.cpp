@@ -35,6 +35,7 @@ SchedStatsSnapshot SchedStats::snapshot() const {
   S.DequeStealCas = DequeStealCas;
   S.VpParks = VpParks;
   S.VpUnparks = VpUnparks;
+  S.PpWakeups = PpWakeups;
   S.PreemptsDelivered = PreemptsDelivered;
   S.PreemptsDeferred = PreemptsDeferred;
   S.ThreadsCreated = ThreadsCreated;
@@ -86,6 +87,7 @@ SchedStatsSnapshot::operator+=(const SchedStatsSnapshot &Other) {
   DequeStealCas += Other.DequeStealCas;
   VpParks += Other.VpParks;
   VpUnparks += Other.VpUnparks;
+  PpWakeups += Other.PpWakeups;
   PreemptsDelivered += Other.PreemptsDelivered;
   PreemptsDeferred += Other.PreemptsDeferred;
   ThreadsCreated += Other.ThreadsCreated;
@@ -154,6 +156,8 @@ constexpr CounterRow Rows[] = {
     {"vp parks", "sting_vp_parks_total", &SchedStatsSnapshot::VpParks},
     {"vp unparks", "sting_vp_unparks_total",
      &SchedStatsSnapshot::VpUnparks},
+    {"pp wakeups", "sting_pp_wakeups_total",
+     &SchedStatsSnapshot::PpWakeups},
     {"preempts delivered", "sting_preempts_delivered_total",
      &SchedStatsSnapshot::PreemptsDelivered},
     {"preempts deferred", "sting_preempts_deferred_total",

@@ -104,9 +104,12 @@ struct alignas(64) SchedStats {
 
   // Idle protocol (DESIGN.md section 8): a VP "parks" when its dispatch
   // loop finds no work anywhere and yields to its physical processor,
-  // which then sleeps on the machine eventcount.
+  // which then sleeps in epoll_wait on its own descriptor set.
   Counter VpParks;   ///< transitions into the parked-idle state
   Counter VpUnparks; ///< dispatches that ended a parked-idle episode
+  Counter PpWakeups; ///< sleeps of this VP's physical processor that ended
+                     ///< (charged to the PP's first VP; the sleep is
+                     ///< untimed, so each one is an enqueue or readiness)
 
   // Preemption.
   Counter PreemptsDelivered; ///< checkpoint consumed a flag and yielded
@@ -186,6 +189,7 @@ struct SchedStatsSnapshot {
   std::uint64_t DequeStealCas = 0;
   std::uint64_t VpParks = 0;
   std::uint64_t VpUnparks = 0;
+  std::uint64_t PpWakeups = 0;
   std::uint64_t PreemptsDelivered = 0;
   std::uint64_t PreemptsDeferred = 0;
   std::uint64_t ThreadsCreated = 0;

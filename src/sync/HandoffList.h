@@ -44,6 +44,7 @@
 #define STING_SYNC_HANDOFFLIST_H
 
 #include "core/Current.h"
+#include "core/Tcb.h"
 #include "core/ThreadController.h"
 #include "support/IntrusiveList.h"
 
@@ -84,9 +85,12 @@ template <typename WaiterT> class HandoffList {
 
 public:
   /// Registers \p W (re-arming it) at the tail; FIFO delivery order.
+  /// Binds the thread that owns the running TCB — during a steal that is
+  /// the toucher, not the stolen thread, which has no TCB to wake.
   void enqueue(WaiterT &W) {
     W.St = HandoffState::Armed;
-    W.Self = currentThread();
+    Tcb *C = currentTcb();
+    W.Self = C ? C->thread() : nullptr;
     Waiters.pushBack(W);
     Registered.store(Registered.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);

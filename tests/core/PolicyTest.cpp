@@ -30,19 +30,13 @@ struct PolicyCase {
   PolicyFactory (*Make)();
 };
 
+// Without this, gtest prints a PolicyCase as its raw bytes, i.e. two
+// pointers that ASLR moves on every run, and that printout is part of the
+// test's ID. Printing the policy's name keeps the IDs stable.
+void PrintTo(const PolicyCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class PolicyConformanceTest : public ::testing::TestWithParam<PolicyCase> {};
-
-// gtest prints a PolicyCase as its raw bytes, i.e. two pointers that ASLR
-// moves on every run, and that printout is part of the test's ID. The cases
-// below print as the policy's name instead, so their IDs are stable.
-struct NamedPolicyCase {
-  explicit NamedPolicyCase(PolicyCase C) : Case(C) {}
-  PolicyCase Case;
-};
-
-void PrintTo(const NamedPolicyCase &C, std::ostream *OS) { *OS << C.Case.Name; }
-
-class PolicyForkTreeTest : public ::testing::TestWithParam<NamedPolicyCase> {};
+class PolicyForkTreeTest : public ::testing::TestWithParam<PolicyCase> {};
 
 auto builtinPolicies() {
   return ::testing::Values(PolicyCase{"LocalFifo", &makeLocalFifoPolicy},
@@ -67,7 +61,7 @@ TEST_P(PolicyConformanceTest, AllForkedThreadsComplete) {
 }
 
 TEST_P(PolicyForkTreeTest, NestedForkJoinTree) {
-  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Case.Make()});
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .Policy = GetParam().Make()});
   // A binary fork tree of depth 5 summing leaves.
   struct Node {
     static AnyValue compute(int Depth) {
@@ -117,8 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyForkTreeTest, builtinPolicies(),
-    [](const ::testing::TestParamInfo<NamedPolicyCase> &Info) {
-      return Info.param.Case.Name;
+    [](const ::testing::TestParamInfo<PolicyCase> &Info) {
+      return Info.param.Name;
     });
 
 TEST(PriorityPolicyTest, HigherPriorityDispatchesFirst) {

@@ -19,6 +19,11 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
 
 namespace {
 
@@ -246,6 +251,47 @@ TEST(TupleHandoffTest, BagDeliversOnlyToValueCompatibleWaiters) {
     return AnyValue(true);
   });
   EXPECT_TRUE(V.as<bool>());
+}
+
+// threadValue on a worker that has not started steals it onto the
+// joiner's TCB. When the stolen worker then parks in a take, the waiter
+// record must bind the joiner (which owns the TCB) — binding the stolen
+// thread, which has none, made the delivery's wake a stale skip and
+// parked the joiner forever. A hang here exits the process after 5 s
+// rather than wedging the suite.
+TEST(TupleHandoffTest, StolenTakerIsWokenThroughItsToucher) {
+  std::promise<bool> Done;
+  std::future<bool> Result = Done.get_future();
+  std::thread Runner([&Done] {
+    VmConfig C;
+    C.NumVps = 1;
+    C.NumPps = 1;
+    VirtualMachine Vm(C);
+    AnyValue V = Vm.run([&]() -> AnyValue {
+      auto S = TupleSpace::create(TupleSpaceRep::Hashed);
+      ThreadRef Responder = TC::forkThread([&]() -> AnyValue {
+        Match M = S->take(makeTuple(1, "ping", formal(0)));
+        S->put(makeTuple(1, "pong", M.binding(0).asFixnum() + 1));
+        return AnyValue(true);
+      });
+      ThreadRef Client = TC::forkThread([&]() -> AnyValue {
+        S->put(makeTuple(1, "ping", 41));
+        Match M = S->take(makeTuple(1, "pong", formal(0)));
+        return AnyValue(M.binding(0).asFixnum() == 42);
+      });
+      bool Got = TC::threadValue(*Client).as<bool>();
+      TC::threadWait(*Responder);
+      return AnyValue(Got);
+    });
+    Done.set_value(V.as<bool>());
+  });
+  if (Result.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    std::fprintf(stderr, "threadValue on a stolen taker hung for 5 s\n");
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  EXPECT_TRUE(Result.get());
+  Runner.join();
 }
 
 } // namespace
