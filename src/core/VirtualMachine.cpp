@@ -86,7 +86,11 @@ VirtualMachine::~VirtualMachine() {
     LoadSampler->stop(); // its probe walks Vps; stop before they go away
   if (Dog)
     Dog->stop(); // before VPs/PPs go away underneath its sampler
-  IdleEc.notifyAll();
+  // Wake every PP through its wake fd, not the event count: the write
+  // needs no memory-ordering argument, and the eventfd stays readable, so
+  // a PP that has not yet seen ShuttingDown cannot sleep again.
+  for (auto &Pp : Pps)
+    EventCount::writeWake(Pp->pollSet().wakeFd());
   Clock->stop();
   for (auto &Pp : Pps)
     Pp->stop();

@@ -5,8 +5,8 @@
 // The eventcount is the idle protocol of the scheduling fast path
 // (DESIGN.md section 8); the stress test here drives the exact handshake
 // the physical processors use — publish work, notifyAll — against waiters
-// doing prepare / re-check / commit, and fails by hanging if a wakeup is
-// ever lost.
+// doing prepare / re-check / commitSleep on an eventfd of their own, and
+// fails by hanging if a wakeup is ever lost.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,11 +15,45 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cerrno>
 #include <thread>
+
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 namespace {
 
 using sting::EventCount;
+
+/// A sleeper's wake descriptor, as each physical processor owns one.
+struct WakeFd {
+  int Fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  WakeFd() { EXPECT_GE(Fd, 0); }
+  ~WakeFd() { close(Fd); }
+};
+
+bool readable(int Fd, int TimeoutMs = 0) {
+  pollfd P{Fd, POLLIN, 0};
+  int N;
+  while ((N = ::poll(&P, 1, TimeoutMs)) < 0 && errno == EINTR) {
+  }
+  return N == 1;
+}
+
+/// A physical processor's sleep, with poll() standing in for epoll_wait:
+/// commit, wait until \p Fd is readable (or \p TimeoutMs passes; -1 =
+/// never), end the sleep and drain if written. \returns endSleep's answer,
+/// or false if commitSleep refused.
+bool sleepOn(EventCount &Ec, EventCount::Key K, int Fd, int TimeoutMs = -1) {
+  if (!Ec.commitSleep(K, Fd))
+    return false;
+  readable(Fd, TimeoutMs);
+  bool Written = Ec.endSleep(Fd);
+  if (Written)
+    EventCount::drainWake(Fd);
+  return Written;
+}
 
 TEST(EventCountTest, NotifyWithNoWaitersIsANoOp) {
   EventCount Ec;
@@ -38,17 +72,39 @@ TEST(EventCountTest, PrepareAndCancelBalanceTheWaiterCount) {
 
 TEST(EventCountTest, NotifyBeforeCommitDoesNotBlock) {
   EventCount Ec;
+  WakeFd W;
   auto K = Ec.prepareWait();
   Ec.notifyAll(); // bumps the epoch: a registered waiter exists
-  Ec.commitWait(K);
+  EXPECT_FALSE(Ec.commitSleep(K, W.Fd));
   EXPECT_EQ(Ec.waiters(), 0u);
+  EXPECT_FALSE(readable(W.Fd)); // an unlisted descriptor is never written
 }
 
 TEST(EventCountTest, TimeoutExpires) {
   EventCount Ec;
+  WakeFd W;
   auto K = Ec.prepareWait();
-  Ec.commitWait(K, 1'000'000); // 1ms; nobody will notify
+  EXPECT_FALSE(sleepOn(Ec, K, W.Fd, 1)); // 1ms; nobody will notify
   EXPECT_EQ(Ec.waiters(), 0u);
+}
+
+// The exact sequence a physical processor runs around epoll_wait: a
+// notification writes the listed descriptor, endSleep reports the write,
+// and the drain leaves no token for the next sleep.
+TEST(EventCountTest, NotifyWritesListedDescriptor) {
+  EventCount Ec;
+  WakeFd W;
+  auto K = Ec.prepareWait();
+  ASSERT_TRUE(Ec.commitSleep(K, W.Fd));
+  EXPECT_FALSE(readable(W.Fd));
+  Ec.notifyAll();
+  EXPECT_TRUE(readable(W.Fd));
+  EXPECT_TRUE(Ec.endSleep(W.Fd));
+  EventCount::drainWake(W.Fd);
+  EXPECT_FALSE(readable(W.Fd));
+  EXPECT_EQ(Ec.waiters(), 0u);
+  Ec.notifyAll(); // unlisted now: no write
+  EXPECT_FALSE(readable(W.Fd));
 }
 
 TEST(EventCountTest, WakesSleeper) {
@@ -56,8 +112,9 @@ TEST(EventCountTest, WakesSleeper) {
   std::atomic<bool> Woke{false};
 
   std::thread Sleeper([&] {
+    WakeFd W;
     auto K = Ec.prepareWait();
-    Ec.commitWait(K);
+    sleepOn(Ec, K, W.Fd);
     Woke.store(true);
   });
 
@@ -70,10 +127,9 @@ TEST(EventCountTest, WakesSleeper) {
 
 // The no-lost-wakeup direction, in the scheduler's exact shape: the
 // notifier publishes (a release store) before notifyAll; the waiter
-// re-checks the condition between prepareWait and commitWait. If the
+// re-checks the condition between prepareWait and commitSleep. If the
 // eventcount ever dropped the race where publish lands between the
-// re-check and the sleep, a round would hang (and the untimed commitWait
-// would never return).
+// re-check and the sleep, a round would hang (the sleep has no timeout).
 TEST(EventCountTest, NoLostWakeupStress) {
   EventCount Ec;
   std::atomic<bool> Work{false};
@@ -81,6 +137,7 @@ TEST(EventCountTest, NoLostWakeupStress) {
   constexpr int Rounds = 2000;
 
   std::thread Waiter([&] {
+    WakeFd W;
     for (int R = 0; R != Rounds; ++R) {
       for (;;) {
         if (Work.load(std::memory_order_acquire))
@@ -91,7 +148,7 @@ TEST(EventCountTest, NoLostWakeupStress) {
           Ec.cancelWait();
           break;
         }
-        Ec.commitWait(K); // untimed: a lost wakeup hangs the test
+        sleepOn(Ec, K, W.Fd); // untimed: a lost wakeup hangs the test
       }
       Work.store(false, std::memory_order_release);
     }
@@ -117,8 +174,9 @@ TEST(EventCountTest, NotifyWakesAllWaiters) {
   std::vector<std::thread> Sleepers;
   for (int I = 0; I != N; ++I)
     Sleepers.emplace_back([&] {
+      WakeFd W;
       auto K = Ec.prepareWait();
-      Ec.commitWait(K);
+      sleepOn(Ec, K, W.Fd);
       Awake.fetch_add(1);
     });
 
