@@ -42,22 +42,38 @@ void PreemptionClock::setPreemptionEnabled(bool NewEnabled) {
   TimerCv.notify_all();
 }
 
-void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
+void PreemptionClock::push(Timer T) {
+  bool Earliest;
   {
     std::lock_guard<std::mutex> Guard(TimerLock);
-    Timers.push(Timer{nowNanos() + DelayNanos, std::move(T)});
+    Earliest = Timers.empty() || T.DeadlineNanos < Timers.top().DeadlineNanos;
+    Timers.push(std::move(T));
   }
-  TimerCv.notify_all();
+  if (Earliest)
+    TimerCv.notify_all();
 }
 
-void PreemptionClock::scheduleTimeout(ThreadRef T,
-                                      std::uint64_t DeadlineNanos) {
-  {
-    std::lock_guard<std::mutex> Guard(TimerLock);
-    Timers.push(
-        Timer{DeadlineNanos, std::move(T), Timer::Kind::KernelTimeout});
-  }
-  TimerCv.notify_all();
+void PreemptionClock::scheduleResume(ThreadRef T, std::uint64_t DelayNanos) {
+  push(Timer{nowNanos() + DelayNanos, std::move(T)});
+}
+
+void PreemptionClock::scheduleTimeout(Thread &T, std::uint64_t DeadlineNanos) {
+  std::uint64_t Queued = T.QueuedTimeout.load(std::memory_order_seq_cst);
+  do {
+    if (Queued != 0 && Queued <= DeadlineNanos)
+      return; // the queued entry fires first and re-queues (see header)
+  } while (!T.QueuedTimeout.compare_exchange_weak(Queued, DeadlineNanos,
+                                                  std::memory_order_seq_cst));
+  push(Timer{DeadlineNanos, ThreadRef(&T), Timer::Kind::KernelTimeout});
+}
+
+void PreemptionClock::fireTimeout(Thread &T, std::uint64_t DeadlineNanos) {
+  std::uint64_t Queued = DeadlineNanos;
+  if (!T.QueuedTimeout.compare_exchange_strong(Queued, 0,
+                                               std::memory_order_seq_cst))
+    return; // superseded: an earlier entry took over the slot
+  if (std::uint64_t Later = ThreadController::deliverTimeout(T, DeadlineNanos))
+    scheduleTimeout(T, Later);
 }
 
 std::size_t PreemptionClock::pendingTimers() const {
@@ -78,7 +94,7 @@ void PreemptionClock::raisePreemptFlags(std::uint64_t Now) {
 void PreemptionClock::fireDueTimers(std::uint64_t Now) {
   // Collect due targets under the lock, resume them outside it: threadRun
   // and deliverTimeout walk thread/queue locks that must not nest inside
-  // TimerLock.
+  // TimerLock, and a re-queued timeout pushes under TimerLock itself.
   std::vector<Timer> Due;
   {
     std::lock_guard<std::mutex> Guard(TimerLock);
@@ -93,7 +109,7 @@ void PreemptionClock::fireDueTimers(std::uint64_t Now) {
       ThreadController::threadRun(*T.Target);
       break;
     case Timer::Kind::KernelTimeout:
-      ThreadController::deliverTimeout(*T.Target, T.DeadlineNanos);
+      fireTimeout(*T.Target, T.DeadlineNanos);
       break;
     }
   }

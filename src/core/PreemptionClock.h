@@ -55,12 +55,28 @@ public:
   /// is still suspended at that point.
   void scheduleResume(ThreadRef T, std::uint64_t DelayNanos);
 
-  /// Arms a timed-park timeout: at the absolute monotonic time
-  /// \p DeadlineNanos, wakes \p T's TCB if it is still in a timed park
-  /// with that exact deadline (ThreadController::deliverTimeout).
-  /// parkCurrent arms at most one timer per (TCB, deadline): re-parks of
-  /// the same wait reuse the queued timer.
-  void scheduleTimeout(ThreadRef T, std::uint64_t DeadlineNanos);
+  /// Arms a timed-park timeout for \p T, whose current park deadline
+  /// (Tcb::TimedParkDeadline) is \p DeadlineNanos. Each thread keeps at
+  /// most one queued entry, recorded in Thread::QueuedTimeout (0 = none):
+  /// this pushes only when no entry is queued or the queued one is later
+  /// than \p DeadlineNanos. An earlier queued entry covers the park: when
+  /// it fires it clears the slot, and if the thread's park deadline has
+  /// moved later, it is queued again at that deadline
+  /// (ThreadController::deliverTimeout) instead of waking anything. So
+  /// a thread that parks with ever-later deadlines keeps one entry on the
+  /// clock, not one per park.
+  ///
+  /// No timeout is lost. The parker stores TimedParkDeadline and then
+  /// reads the slot; the clock clears the slot (CAS) and then reads
+  /// TimedParkDeadline. All four accesses are seq_cst, so in their single
+  /// total order either the parker's read comes first — it sees the
+  /// queued entry, whose later clear-then-read sees the new deadline and
+  /// re-queues — or the clear comes first, and the parker sees the slot
+  /// empty (or re-filled at a deadline no later than its own) and pushes
+  /// its own entry if needed. Duplicate entries are harmless: an entry
+  /// whose slot CAS fails was superseded and is dropped, and delivery
+  /// validates the deadline and wakes kernel parks only.
+  void scheduleTimeout(Thread &T, std::uint64_t DeadlineNanos);
 
   /// Number of timers currently armed (resumes + park timeouts); a
   /// heartbeat input for the stall watchdog — a machine with live threads,
@@ -77,6 +93,7 @@ public:
 private:
   void run();
   void fireDueTimers(std::uint64_t Now);
+  void fireTimeout(Thread &T, std::uint64_t DeadlineNanos);
   void raisePreemptFlags(std::uint64_t Now);
 
   struct Timer {
@@ -91,6 +108,11 @@ private:
       return DeadlineNanos > RHS.DeadlineNanos;
     }
   };
+
+  /// Queues \p T and wakes the clock thread only when \p T becomes the
+  /// earliest entry. That is enough: the clock computes its sleep from the
+  /// earliest entry under TimerLock.
+  void push(Timer T);
 
   VirtualMachine *Vm;
   std::uint64_t TickNanos;

@@ -205,12 +205,6 @@ private:
   std::uint64_t SliceStartNanos = 0;
   std::uint64_t QuantumNanos = 0;
 
-  /// Deadline of the most recently armed park-timeout timer (owner thread
-  /// only). parkCurrent skips re-arming when the deadline is unchanged, so
-  /// a re-park loop (spurious wakes, group re-checks) holds one clock
-  /// timer for its whole wait instead of one per pass.
-  std::uint64_t ArmedTimeoutDeadline = 0;
-
   /// Depth of stolen thunks currently running on this TCB (section 4.1.1).
   int StealDepth = 0;
 

@@ -115,6 +115,10 @@ Thread::Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts)
 
 Thread::~Thread() {
   STING_DCHECK(!Waiters, "destroying a thread that still has waiters");
+  // A thread released before it was ever determined (a delayed thread
+  // whose value nobody demanded) still belongs to its group.
+  if (Group && !isDetermined())
+    Group->removeMember(*this);
 }
 
 ThreadRef Thread::create(VirtualMachine &Vm, Thunk Code,

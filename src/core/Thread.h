@@ -217,6 +217,7 @@ private:
   friend class ThreadController;
   friend class VirtualProcessor;
   friend class ThreadGroup;
+  friend class PreemptionClock;
 
   Thread(VirtualMachine &Vm, Thunk Code, const SpawnOptions &Opts);
   ~Thread();
@@ -266,6 +267,11 @@ private:
   /// so requesters (threadRun, threadTerminate, suspend timers) can reach
   /// the dynamic context race-free. Cleared by determine().
   Tcb *OwnedTcb = nullptr;
+
+  /// Deadline of the park-timeout entry this thread has queued on the
+  /// machine clock, 0 when none. At most one entry per thread carries it;
+  /// see PreemptionClock::scheduleTimeout for the protocol.
+  std::atomic<std::uint64_t> QueuedTimeout{0};
 
   IntrusivePtr<ThreadGroup> Group;
   ThreadRef Parent;

@@ -146,9 +146,10 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
   // becomes visible: deliverTimeout validates timers against it, so a
   // stale timer can match only while a park with this exact deadline is
   // current — any other delivery is dropped or degrades to a spurious
-  // kernel wake.
+  // kernel wake. seq_cst: it pairs with the clock's read of it after
+  // clearing the thread's queued-timeout slot (PreemptionClock.h).
   const std::uint64_t DeadlineNanos = D.isNever() ? 0 : D.AtNanos;
-  C.TimedParkDeadline.store(DeadlineNanos, std::memory_order_release);
+  C.TimedParkDeadline.store(DeadlineNanos, std::memory_order_seq_cst);
 
   // A terminate or raise request that raced ahead of the park would
   // strand a *user* park (nothing is obliged to resume it) and would
@@ -200,16 +201,12 @@ void ThreadController::parkCurrent(ParkClass Class, const void *Blocker,
   }
 
   // Arm the timeout only once the park is committed; the timer races the
-  // switch-out harmlessly (unparkImpl handles the Parking window). A
-  // re-park with an unchanged deadline (spurious wake, group re-check)
-  // reuses the timer already queued for it — the timer validates against
-  // TimedParkDeadline, not a park generation, so one timer serves every
-  // pass of the wait and the clock's queue stays bounded.
-  if (DeadlineNanos != 0 && C.ArmedTimeoutDeadline != DeadlineNanos) {
-    C.ArmedTimeoutDeadline = DeadlineNanos;
-    C.vp()->vm().clock().scheduleTimeout(ThreadRef(C.thread()),
-                                         DeadlineNanos);
-  }
+  // switch-out harmlessly (unparkImpl handles the Parking window). The
+  // clock keeps one queued timeout per thread: a re-park whose deadline is
+  // no earlier than the queued one (spurious wake, group re-check, the
+  // next timed wait) pushes nothing and wakes no one.
+  if (DeadlineNanos != 0)
+    C.vp()->vm().clock().scheduleTimeout(*C.thread(), DeadlineNanos);
 
   VirtualProcessor &Vp = *C.vp();
   Vp.Action = SchedAction::Park;
@@ -309,22 +306,28 @@ bool ThreadController::unparkTcb(Tcb &C, EnqueueReason Reason) {
   return unparkImpl(C, Reason, UnparkClass::Any);
 }
 
-void ThreadController::deliverTimeout(Thread &T, std::uint64_t DeadlineNanos) {
+std::uint64_t ThreadController::deliverTimeout(Thread &T,
+                                               std::uint64_t DeadlineNanos) {
   // Runs on the machine clock's OS thread. The waiter lock pins the TCB;
-  // the deadline check drops timers whose timed park already ended. A
-  // stale delivery that slips past it anyway (the target re-parked with
-  // the same deadline, or is mid-wake) is constrained to kernel parks: at
-  // worst it produces a spurious return there, which every kernel park
-  // site tolerates — it can never resume a user park (thread-suspend)
-  // early, whatever the target parked into since the check.
+  // the deadline check drops timers whose timed park already ended, and
+  // hands a later park deadline back for re-queueing. A stale delivery
+  // that slips past it anyway (the target re-parked with the same
+  // deadline, or is mid-wake) is constrained to kernel parks: at worst it
+  // produces a spurious return there, which every kernel park site
+  // tolerates — it can never resume a user park (thread-suspend) early,
+  // whatever the target parked into since the check.
   std::lock_guard<SpinLock> Guard(T.WaiterLock);
   if (T.state() != ThreadState::Evaluating)
-    return;
+    return 0;
   Tcb *C = T.OwnedTcb;
-  if (!C ||
-      C->TimedParkDeadline.load(std::memory_order_acquire) != DeadlineNanos)
-    return;
-  unparkImpl(*C, EnqueueReason::KernelBlock, UnparkClass::KernelOnly);
+  if (!C)
+    return 0;
+  std::uint64_t Current = C->TimedParkDeadline.load(std::memory_order_seq_cst);
+  if (Current > DeadlineNanos)
+    return Current;
+  if (Current == DeadlineNanos)
+    unparkImpl(*C, EnqueueReason::KernelBlock, UnparkClass::KernelOnly);
+  return 0;
 }
 
 bool ThreadController::unparkTcbIfUser(Tcb &C, EnqueueReason Reason) {

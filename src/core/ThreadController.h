@@ -185,9 +185,11 @@ public:
   /// still in a timed park whose deadline is \p DeadlineNanos. Delivery is
   /// kernel-only: a stale timer that slips past the deadline check can
   /// only produce a spurious return in a kernel park (tolerated by
-  /// construction), never resume a user park early. Internal —
+  /// construction), never resume a user park early. \returns the TCB's
+  /// park deadline if it is later than \p DeadlineNanos — the clock then
+  /// re-queues the thread's timeout there — and 0 otherwise. Internal —
   /// PreemptionClock only.
-  static void deliverTimeout(Thread &T, std::uint64_t DeadlineNanos);
+  static std::uint64_t deliverTimeout(Thread &T, std::uint64_t DeadlineNanos);
 
 private:
   friend class VirtualProcessor;

@@ -81,8 +81,13 @@ std::vector<ThreadRef> ThreadGroup::threads() const {
   std::vector<ThreadRef> Snapshot;
   std::lock_guard<SpinLock> Guard(Lock);
   for (Thread &T : const_cast<IntrusiveList<Thread, GroupMemberTag> &>(
-           Members))
-    Snapshot.push_back(ThreadRef(&T));
+           Members)) {
+    // A member whose final release already committed is mid-destruction
+    // (its destructor is blocked on our lock to leave); skip it rather
+    // than resurrect it.
+    if (T.retainIfAlive())
+      Snapshot.push_back(ThreadRef::adopt(&T));
+  }
   return Snapshot;
 }
 

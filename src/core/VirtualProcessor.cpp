@@ -345,7 +345,6 @@ void VirtualProcessor::recycleTcb(Tcb &C) {
   C.PendingUserWake.store(false, std::memory_order_relaxed);
   C.PendingKernelWake.store(false, std::memory_order_relaxed);
   C.TimedParkDeadline.store(0, std::memory_order_relaxed);
-  C.ArmedTimeoutDeadline = 0;
   C.DeferredPreempt = false;
   C.PreemptDisableDepth = 0;
   C.StealDepth = 0;

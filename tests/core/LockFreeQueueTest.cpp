@@ -5,8 +5,7 @@
 // The lock-free scheduling fast path (DESIGN.md section 8) in isolation:
 // the Chase-Lev deque (owner ops vs. concurrent thieves, growth under
 // race, the last-element CAS), the MPSC remote mailbox (order, overflow,
-// multi-producer conservation), the locked ReadyQueue's migration
-// primitive (order contract pinned), and the end-to-end no-lost-wakeup
+// multi-producer conservation), and the end-to-end no-lost-wakeup
 // property of remote enqueues against parked VPs. The concurrency tests
 // are conservation arguments — every item consumed exactly once — and are
 // meant to run under TSan and ASan in CI.
@@ -17,7 +16,6 @@
 #include "core/policy/WorkStealingDeque.h"
 
 #include "core/VirtualMachine.h"
-#include "core/policy/ReadyQueue.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -512,81 +510,6 @@ TEST(MailboxTest, ShrinkUnderConcurrentProducersConservesItems) {
   std::sort(Got.begin(), Got.end());
   for (std::size_t I = 0; I != Got.size(); ++I)
     ASSERT_EQ(Got[I], static_cast<int>(I)) << "duplicated or lost across shrink";
-}
-
-//===----------------------------------------------------------------------===//
-// ReadyQueue::popHalfInto (the locked migration primitive)
-//===----------------------------------------------------------------------===//
-
-TEST(ReadyQueueTest, PopHalfIntoTakesCeilHalfFromTheBack) {
-  ReadyQueue From, To;
-  auto Items = makeItems(5); // [0 1 2 3 4]
-  for (auto &I : Items)
-    From.pushBack(*I);
-  std::size_t Moved = From.popHalfInto(To);
-  EXPECT_EQ(Moved, 3u); // ceil(5/2)
-  EXPECT_EQ(From.size(), 2u);
-  EXPECT_EQ(To.size(), 3u);
-  // The victim keeps its oldest items...
-  EXPECT_EQ(static_cast<Item *>(From.popFront())->Value, 0);
-  EXPECT_EQ(static_cast<Item *>(From.popFront())->Value, 1);
-  // ...and the stolen back segment arrives in its original relative order.
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 2);
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 3);
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 4);
-}
-
-TEST(ReadyQueueTest, PopHalfIntoPrependsBeforeExistingItems) {
-  ReadyQueue From, To;
-  auto Items = makeItems(4); // victim gets [0 1 2 3]
-  for (auto &I : Items)
-    From.pushBack(*I);
-  Item Resident(99);
-  To.pushBack(Resident);
-  EXPECT_EQ(From.popHalfInto(To), 2u); // moves [2 3]
-  // Stolen work lands ahead of what the thief already had.
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 2);
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 3);
-  EXPECT_EQ(static_cast<Item *>(To.popFront())->Value, 99);
-}
-
-TEST(ReadyQueueTest, PopHalfIntoOfSingletonMovesIt) {
-  ReadyQueue From, To;
-  Item Only(5);
-  From.pushBack(Only);
-  EXPECT_EQ(From.popHalfInto(To), 1u);
-  EXPECT_TRUE(From.empty());
-  EXPECT_EQ(To.popFront(), &Only);
-}
-
-TEST(ReadyQueueTest, PopHalfIntoOfEmptyIsZero) {
-  ReadyQueue From, To;
-  EXPECT_EQ(From.popHalfInto(To), 0u);
-  EXPECT_TRUE(To.empty());
-}
-
-// Two queues stealing from each other concurrently: the old nested-lock
-// implementation could deadlock here (ABBA); the detach-then-splice
-// version must complete and conserve items.
-TEST(ReadyQueueTest, MutualPopHalfIntoDoesNotDeadlock) {
-  ReadyQueue A, B;
-  auto Items = makeItems(200);
-  for (int I = 0; I != 100; ++I)
-    A.pushBack(*Items[static_cast<std::size_t>(I)]);
-  for (int I = 100; I != 200; ++I)
-    B.pushBack(*Items[static_cast<std::size_t>(I)]);
-
-  std::thread T1([&] {
-    for (int R = 0; R != 500; ++R)
-      A.popHalfInto(B);
-  });
-  std::thread T2([&] {
-    for (int R = 0; R != 500; ++R)
-      B.popHalfInto(A);
-  });
-  T1.join();
-  T2.join();
-  EXPECT_EQ(A.size() + B.size(), 200u);
 }
 
 //===----------------------------------------------------------------------===//

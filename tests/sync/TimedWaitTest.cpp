@@ -175,6 +175,129 @@ TEST(TimedWaitTest, StaleTimeoutNeverResumesSuspendedThread) {
   });
 }
 
+//===----------------------------------------------------------------------===//
+// The clock's queued timeouts (one entry per thread)
+//===----------------------------------------------------------------------===//
+
+/// A ParkList wait with a timeout \p Nanos away that really parks and is
+/// then woken. On a one-VP machine the waker runs only once the waiter is
+/// off its VP, so the park, and the timeout it arms, always happen.
+WaitResult wokenTimedWait(std::uint64_t Nanos) {
+  ParkList P;
+  std::atomic<bool> Flag{false};
+  ThreadRef Waker = TC::forkThread([&]() -> AnyValue {
+    EXPECT_EQ(P.waiterCount(), 1u);
+    Flag.store(true, std::memory_order_release);
+    P.wakeAll();
+    return AnyValue();
+  });
+  WaitResult R = P.awaitUntil(
+      [&] { return Flag.load(std::memory_order_acquire); }, &P,
+      Deadline::in(Nanos));
+  TC::threadWait(*Waker);
+  return R;
+}
+
+/// Joins \p T from outside the machine, failing instead of hanging if it
+/// does not finish within \p Nanos (a lost timeout leaves a wait parked).
+void expectFinishesWithin(Thread &T, std::uint64_t Nanos) {
+  if (T.joinFor(Deadline::in(Nanos)))
+    return;
+  ADD_FAILURE() << "thread still running after " << Nanos / 1'000'000
+                << " ms";
+  TC::threadTerminate(T);
+  T.join();
+}
+
+constexpr std::uint64_t BriefNanos = 20'000'000;   // 20 ms
+constexpr std::uint64_t EarlyNanos = 30'000'000;  // 30 ms
+constexpr std::uint64_t RideNanos = 150'000'000;  // 150 ms
+constexpr std::uint64_t SlackNanos = 1'000'000'000; // 1 s
+
+TEST(TimedWaitTest, WokenWaitsKeepOneQueuedTimeoutPerThread) {
+  // Two threads hand a permit back and forth 10k times on one VP, so every
+  // hand-off parks with a fresh, later deadline and ends by a wake. Each
+  // thread's first queued timeout covers all its later parks: the clock
+  // holds one entry per thread, not one per wait.
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1});
+  Vm.run([&Vm]() -> AnyValue {
+    constexpr int Rounds = 10'000;
+    Semaphore Ping(0), Pong(0);
+    std::atomic<int> TimedOut{0};
+    ThreadRef Partner = TC::forkThread([&]() -> AnyValue {
+      for (int I = 0; I != Rounds; ++I) {
+        if (!Ping.tryAcquireFor(LongNanos))
+          TimedOut.fetch_add(1);
+        Pong.release();
+      }
+      return AnyValue();
+    });
+    for (int I = 0; I != Rounds; ++I) {
+      Ping.release();
+      if (!Pong.tryAcquireFor(LongNanos))
+        TimedOut.fetch_add(1);
+    }
+    TC::threadWait(*Partner);
+    EXPECT_EQ(TimedOut.load(), 0);
+    EXPECT_LE(Vm.clock().pendingTimers(), 4u); // two threads, two each
+    return AnyValue();
+  });
+}
+
+TEST(TimedWaitTest, LaterWaitRidesOnAnEarlierQueuedTimeout) {
+  // The first wait is woken long before its deadline and leaves its entry
+  // queued; the second, unwoken wait has a later deadline, so it queues
+  // nothing. When the first entry fires mid-wait it must move to the
+  // second deadline: neither end the wait early nor drop its timeout.
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1});
+  ThreadRef T = Vm.fork([]() -> AnyValue {
+    EXPECT_EQ(wokenTimedWait(EarlyNanos), WaitResult::Ready);
+    ParkList P;
+    std::uint64_t Start = nowNanos();
+    EXPECT_EQ(P.awaitUntil([] { return false; }, &P, Deadline::in(RideNanos)),
+              WaitResult::Timeout);
+    std::uint64_t Took = nowNanos() - Start;
+    EXPECT_GE(Took, RideNanos);
+    EXPECT_LT(Took, RideNanos + SlackNanos);
+    return AnyValue();
+  });
+  expectFinishesWithin(*T, RideNanos + 4 * SlackNanos);
+}
+
+TEST(TimedWaitTest, ShorterWaitAfterWokenLongerWaitTimesOutOnTime) {
+  // The queued entry is 5 s out; a 20 ms wait must queue its own earlier
+  // entry (and wake the clock for it) rather than ride on the later one.
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1});
+  ThreadRef T = Vm.fork([]() -> AnyValue {
+    EXPECT_EQ(wokenTimedWait(LongNanos), WaitResult::Ready);
+    ParkList P;
+    std::uint64_t Start = nowNanos();
+    EXPECT_EQ(P.awaitUntil([] { return false; }, &P, Deadline::in(BriefNanos)),
+              WaitResult::Timeout);
+    std::uint64_t Took = nowNanos() - Start;
+    EXPECT_GE(Took, BriefNanos);
+    EXPECT_LT(Took, BriefNanos + SlackNanos);
+    return AnyValue();
+  });
+  expectFinishesWithin(*T, LongNanos / 2);
+}
+
+TEST(TimedWaitTest, SuspendQuantumResumesBehindAQueuedTimeout) {
+  // threadSuspend with a quantum queues a resume entry (scheduleResume)
+  // ahead of a 5 s park timeout; it must still resume on time.
+  VirtualMachine Vm(VmConfig{.NumVps = 1, .NumPps = 1});
+  ThreadRef T = Vm.fork([]() -> AnyValue {
+    EXPECT_EQ(wokenTimedWait(LongNanos), WaitResult::Ready);
+    std::uint64_t Start = nowNanos();
+    TC::threadSuspend(BriefNanos);
+    std::uint64_t Took = nowNanos() - Start;
+    EXPECT_GE(Took, BriefNanos);
+    EXPECT_LT(Took, BriefNanos + SlackNanos);
+    return AnyValue();
+  });
+  expectFinishesWithin(*T, LongNanos / 2);
+}
+
 TEST(TimedWaitTest, ParkListNeverDeadlineBlocksUntilWake) {
   VirtualMachine Vm(VmConfig{.NumVps = 2, .NumPps = 2});
   Vm.run([]() -> AnyValue {
