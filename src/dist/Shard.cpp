@@ -194,12 +194,13 @@ public:
     for (gc::Value V : M.Fields)
       W.value(V);
     auto Fr = std::make_unique<OutFrame>();
-    Fr->Payload = W.payload();
+    Fr->Payload = std::move(W).payload();
     Fr->Id = Id;
     if (Remove) {
       Fr->Redeposit = std::move(M.Fields);
       for (gc::Value &Slot : Fr->Redeposit)
-        Space->heap().addRoot(&Slot);
+        if (gc::GlobalHeap::isCollectable(Slot))
+          Space->heap().addRoot(&Slot);
     }
     std::lock_guard<SpinLock> G(Lock);
     auto It = Regs.find(Id);
@@ -224,7 +225,8 @@ public:
       if (!Sent && Fr->Taken && Cfg.Rep)
         Local = Cfg.Rep->noteRestored(Fr->Redeposit);
       for (gc::Value &Slot : Fr->Redeposit)
-        Space->heap().removeRoot(&Slot);
+        if (gc::GlobalHeap::isCollectable(Slot))
+          Space->heap().removeRoot(&Slot);
       if (!Sent && Local) {
         Tuple T;
         T.reserve(Fr->Redeposit.size());

@@ -154,7 +154,7 @@ public:
         L->RetractSent = true;
         wire::Writer W(wire::Op::Retract);
         W.fixnum(static_cast<std::int64_t>(Id));
-        OutQ.push_back(W.payload());
+        OutQ.push_back(std::move(W).payload());
       }
     }
     if (Local) {
@@ -946,9 +946,11 @@ Status SpaceRouter::matchOnce(const std::vector<std::size_t> &Cands,
   DetachAll();
 
   if (Op.HasMatch) {
-    // Resolve the delivered wire fields into shared-heap values. Root the
-    // output slots first: each intern/string allocation may collect, and
-    // earlier values must survive later allocations.
+    // Resolve the delivered wire fields into shared-heap values. The
+    // output slots are rooted before any value is stored in them, so every
+    // value is registered from the moment it exists. No allocation here
+    // collects: GlobalHeap::allocate never does, and collectFull is an
+    // explicit call that needs every mutator quiescent.
     gc::GlobalHeap &H = sharedHeap();
     Out.Fields.assign(Op.Delivered.size(), gc::Value());
     Out.Flow = Op.Flow;

@@ -10,13 +10,21 @@
 #include "support/Clock.h"
 
 #include <cstring>
+#include <functional>
 #include <mutex>
 
 namespace sting {
 namespace gc {
 
+namespace {
+constexpr std::size_t InitialSymbolSlots = 64;
+} // namespace
+
 GlobalHeap::GlobalHeap(std::size_t BlockBytes)
-    : BlockBytes(BlockBytes < 4096 ? 4096 : BlockBytes) {}
+    : BlockBytes(BlockBytes < 4096 ? 4096 : BlockBytes) {
+  SymbolTables.push_back(std::make_unique<SymbolTable>(InitialSymbolSlots));
+  Symbols.store(SymbolTables.back().get(), std::memory_order_relaxed);
+}
 
 GlobalHeap::~GlobalHeap() = default;
 
@@ -111,17 +119,61 @@ Value GlobalHeap::makeBoxShared(Value V) {
   return Value::object(O);
 }
 
+//===----------------------------------------------------------------------===//
+// Symbols
+//===----------------------------------------------------------------------===//
+
+Object *GlobalHeap::SymbolTable::find(std::string_view Name,
+                                      std::uint64_t Hash) const {
+  // Loads are at most half the capacity, so every probe ends at an empty
+  // slot. Slots only ever go from empty to a symbol, never back.
+  for (std::size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+    Object *Sym = Slots[I].Sym.load(std::memory_order_acquire);
+    if (!Sym)
+      return nullptr;
+    if (Slots[I].Hash == Hash && Sym->byteLength() == Name.size() &&
+        std::memcmp(Sym->bytes(), Name.data(), Name.size()) == 0)
+      return Sym;
+  }
+}
+
+void GlobalHeap::SymbolTable::insert(Object *Sym, std::uint64_t Hash) {
+  std::size_t I = Hash & Mask;
+  while (Slots[I].Sym.load(std::memory_order_relaxed))
+    I = (I + 1) & Mask;
+  Slots[I].Hash = Hash;
+  Slots[I].Sym.store(Sym, std::memory_order_release);
+}
+
 Value GlobalHeap::intern(std::string_view Name) {
-  std::lock_guard<SpinLock> Guard(Lock);
-  auto It = Symbols.find(std::string(Name));
-  if (It != Symbols.end())
-    return Value::object(It->second);
+  const std::uint64_t Hash = std::hash<std::string_view>{}(Name);
+  if (Object *Sym = Symbols.load(std::memory_order_acquire)->find(Name, Hash))
+    return Value::object(Sym);
+
+  std::lock_guard<SpinLock> Guard(SymbolLock);
+  SymbolTable *Table = Symbols.load(std::memory_order_relaxed);
+  if (Object *Sym = Table->find(Name, Hash))
+    return Value::object(Sym); // interned since the lock-free miss
+
+  if (2 * (SymbolCount + 1) > Table->Mask + 1) {
+    // Grow into a fresh table and publish it whole; readers still walking
+    // the old one see a complete (if older) set and fall back to this lock
+    // on a miss.
+    auto Grown = std::make_unique<SymbolTable>(2 * (Table->Mask + 1));
+    for (std::size_t I = 0; I <= Table->Mask; ++I)
+      if (Object *Sym = Table->Slots[I].Sym.load(std::memory_order_relaxed))
+        Grown->insert(Sym, Table->Slots[I].Hash);
+    Table = Grown.get();
+    SymbolTables.push_back(std::move(Grown));
+    Symbols.store(Table, std::memory_order_release);
+  }
 
   const auto Words = static_cast<std::uint32_t>((Name.size() + 7) / 8);
-  Object *O = allocateLocked(ObjectKind::Symbol, Words);
+  Object *O = allocate(ObjectKind::Symbol, Words);
   O->setByteLength(Name.size());
   std::memcpy(O->bytes(), Name.data(), Name.size());
-  Symbols.emplace(std::string(Name), O);
+  Table->insert(O, Hash);
+  ++SymbolCount;
   return Value::object(O);
 }
 
@@ -131,17 +183,19 @@ Value GlobalHeap::intern(std::string_view Name) {
 
 void GlobalHeap::addRoot(Value *Slot) {
   std::lock_guard<SpinLock> Guard(Lock);
-  Roots.push_back(Slot);
+  const bool Inserted = Roots.insert(Slot).second;
+  STING_DCHECK(Inserted, "root slot registered twice");
+  (void)Inserted;
 }
 
 void GlobalHeap::removeRoot(Value *Slot) {
   std::lock_guard<SpinLock> Guard(Lock);
-  for (auto It = Roots.begin(); It != Roots.end(); ++It) {
-    if (*It != Slot)
-      continue;
-    Roots.erase(It);
-    return;
-  }
+  Roots.erase(Slot);
+}
+
+std::size_t GlobalHeap::rootCount() const {
+  std::lock_guard<SpinLock> Guard(Lock);
+  return Roots.size();
 }
 
 bool GlobalHeap::contains(const void *P) const {
@@ -172,6 +226,7 @@ void GlobalHeap::markValue(Value V, std::vector<Object *> &Gray) {
 }
 
 void GlobalHeap::collectFull(const std::vector<LocalHeap *> &Mutators) {
+  std::lock_guard<SpinLock> SymbolGuard(SymbolLock);
   std::lock_guard<SpinLock> Guard(Lock);
   ++Stats.FullCollections;
   std::uint64_t PauseStart = nowNanos();
@@ -180,8 +235,10 @@ void GlobalHeap::collectFull(const std::vector<LocalHeap *> &Mutators) {
   std::vector<Object *> Gray;
   for (Value *Slot : Roots)
     markValue(*Slot, Gray);
-  for (auto &[Name, Sym] : Symbols) {
-    if (!Sym->isMarked()) {
+  const SymbolTable &Table = *Symbols.load(std::memory_order_relaxed);
+  for (std::size_t I = 0; I <= Table.Mask; ++I) {
+    Object *Sym = Table.Slots[I].Sym.load(std::memory_order_relaxed);
+    if (Sym && !Sym->isMarked()) {
       Sym->setMarked(true);
       Gray.push_back(Sym);
     }

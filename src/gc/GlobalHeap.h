@@ -21,11 +21,11 @@
 #include "support/Histogram.h"
 #include "support/SpinLock.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace sting {
@@ -65,15 +65,30 @@ public:
   Value makeBoxShared(Value V);
 
   /// Interns \p Name, returning the unique symbol object. Symbols are
-  /// permanent (treated as roots by full collections).
+  /// permanent (treated as roots by full collections). A name already
+  /// interned is found without locking or allocating (DESIGN.md §5).
   Value intern(std::string_view Name);
 
   // --- Root registry -----------------------------------------------------
 
-  /// Registers \p Slot as a permanent root (e.g. a runtime structure's
-  /// table pointer). The slot must stay valid until removeRoot.
+  /// Registers \p Slot as a root (e.g. a runtime structure's table
+  /// pointer). The slot must stay valid until removeRoot, and may be
+  /// registered only once at a time. Both are O(1).
   void addRoot(Value *Slot);
   void removeRoot(Value *Slot);
+
+  /// True when a full collection could reclaim \p V: an old-generation
+  /// object other than a symbol. Fixnums, immediates and foreign pointers
+  /// are not heap objects, and symbols are permanent. A slot whose value
+  /// stays fixed while it is held registers only when this holds, and
+  /// unregisters by the same test on the same value.
+  static bool isCollectable(Value V) {
+    return V.isObject() && V.asObject()->isInOld() &&
+           V.asObject()->kind() != ObjectKind::Symbol;
+  }
+
+  /// Number of registered roots (for tests).
+  std::size_t rootCount() const;
 
   // --- Full collection ----------------------------------------------------
 
@@ -93,14 +108,42 @@ private:
   Object *allocateFromFreeList(std::size_t Bytes);
   void markValue(Value V, std::vector<Object *> &Gray);
 
+  /// An insert-only open-addressing table of interned symbols. A slot's
+  /// Hash is written before its symbol is published (release), and a
+  /// table's slots are filled before the table itself is published, so a
+  /// reader that acquires a symbol also sees its hash and its bytes.
+  struct SymbolTable {
+    struct Slot {
+      std::atomic<Object *> Sym{nullptr};
+      std::uint64_t Hash = 0;
+    };
+    explicit SymbolTable(std::size_t Capacity)
+        : Mask(Capacity - 1), Slots(new Slot[Capacity]) {}
+    /// \returns the symbol named \p Name, or null. Lock-free.
+    Object *find(std::string_view Name, std::uint64_t Hash) const;
+    /// Stores \p Sym in the first empty slot of its probe (SymbolLock held).
+    void insert(Object *Sym, std::uint64_t Hash);
+
+    std::size_t Mask;
+    std::unique_ptr<Slot[]> Slots;
+  };
+
   mutable SpinLock Lock;
   std::size_t BlockBytes;
   std::vector<std::unique_ptr<Area>> Blocks;
   /// First-fit free list of swept chunks (addresses of FreeChunk objects).
   std::vector<Object *> FreeList;
-  std::vector<Value *> Roots;
-  std::unordered_map<std::string, Object *> Symbols;
+  std::unordered_set<Value *> Roots;
   GlobalHeapStats Stats;
+
+  /// Serializes symbol inserts; taken before Lock, never after it.
+  SpinLock SymbolLock;
+  /// The current symbol table, read without locking.
+  std::atomic<SymbolTable *> Symbols;
+  /// Every table ever published, the current one last: a reader may still
+  /// walk a table a resize replaced, so none is freed before the heap.
+  std::vector<std::unique_ptr<SymbolTable>> SymbolTables;
+  std::size_t SymbolCount = 0;
 };
 
 } // namespace gc

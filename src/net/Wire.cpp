@@ -12,34 +12,23 @@
 
 namespace sting::net::wire {
 
-void Writer::u32(std::uint32_t N) {
-  Buf.push_back(static_cast<std::uint8_t>(N & 0xff));
-  Buf.push_back(static_cast<std::uint8_t>((N >> 8) & 0xff));
-  Buf.push_back(static_cast<std::uint8_t>((N >> 16) & 0xff));
-  Buf.push_back(static_cast<std::uint8_t>((N >> 24) & 0xff));
+void Writer::tagged(Tag T, std::uint64_t N, unsigned Bytes) {
+  std::uint8_t Out[9] = {static_cast<std::uint8_t>(T)};
+  for (unsigned I = 0; I != Bytes; ++I)
+    Out[1 + I] = static_cast<std::uint8_t>((N >> (8 * I)) & 0xff);
+  Buf.insert(Buf.end(), Out, Out + 1 + Bytes);
 }
 
 void Writer::fixnum(std::int64_t N) {
-  Buf.push_back(static_cast<std::uint8_t>(Tag::Fixnum));
-  std::uint64_t U = static_cast<std::uint64_t>(N);
-  for (int I = 0; I != 8; ++I)
-    Buf.push_back(static_cast<std::uint8_t>((U >> (8 * I)) & 0xff));
+  tagged(Tag::Fixnum, static_cast<std::uint64_t>(N), 8);
 }
 
-void Writer::formal(std::uint32_t Index) {
-  Buf.push_back(static_cast<std::uint8_t>(Tag::Formal));
-  u32(Index);
-}
+void Writer::formal(std::uint32_t Index) { tagged(Tag::Formal, Index, 4); }
 
-void Writer::flow(std::uint64_t F) {
-  Buf.push_back(static_cast<std::uint8_t>(Tag::Flow));
-  for (int I = 0; I != 8; ++I)
-    Buf.push_back(static_cast<std::uint8_t>((F >> (8 * I)) & 0xff));
-}
+void Writer::flow(std::uint64_t F) { tagged(Tag::Flow, F, 8); }
 
 void Writer::bytesField(Tag T, std::string_view S) {
-  Buf.push_back(static_cast<std::uint8_t>(T));
-  u32(static_cast<std::uint32_t>(S.size()));
+  tagged(T, static_cast<std::uint32_t>(S.size()), 4);
   Buf.insert(Buf.end(), S.begin(), S.end());
 }
 

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sting::net::wire {
@@ -152,7 +153,10 @@ enum class Tag : std::uint8_t {
 /// to BufferedConn::writeFrame, which adds the length prefix.
 class Writer {
 public:
-  explicit Writer(Op O) { Buf.push_back(static_cast<std::uint8_t>(O)); }
+  explicit Writer(Op O) {
+    Buf.reserve(64); // a routed op's frames fit, so they never reallocate
+    Buf.push_back(static_cast<std::uint8_t>(O));
+  }
 
   void fixnum(std::int64_t N);
   void boolean(bool B) {
@@ -171,11 +175,14 @@ public:
   /// wire carries data, not references into the server heap.
   void value(gc::Value V);
 
-  const std::vector<std::uint8_t> &payload() const { return Buf; }
+  const std::vector<std::uint8_t> &payload() const & { return Buf; }
+  /// Hands the buffer over without copying: `std::move(W).payload()`.
+  std::vector<std::uint8_t> payload() && { return std::move(Buf); }
 
 private:
   void bytesField(Tag T, std::string_view S);
-  void u32(std::uint32_t N);
+  /// Appends \p T and the low \p Bytes bytes of \p N, little-endian.
+  void tagged(Tag T, std::uint64_t N, unsigned Bytes);
 
   std::vector<std::uint8_t> Buf;
 };

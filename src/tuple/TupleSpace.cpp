@@ -120,6 +120,13 @@ constexpr std::size_t NumBins = 64;
 class HashedRep;
 struct BinItemTag;
 
+/// Whether the space roots \p F's slot while it holds the field: a datum
+/// whose value a full collection could reclaim (DESIGN.md §5). A held
+/// field's value never changes, so rooting and unrooting decide alike.
+bool needsRoot(const Field &F) {
+  return F.isDatum() && gc::GlobalHeap::isCollectable(F.value());
+}
+
 /// A deposited tuple. Intrusively refcounted and recycled through the
 /// owning representation's pool: matchers may pin an entry across
 /// thread-field resolution while a competing taker removes it, and a
@@ -137,7 +144,8 @@ struct Entry : ListNode<BinItemTag> {
     if (!Fields[I].isLiveThread())
       return;
     Fields[I].becomeDatum(V);
-    Heap.addRoot(Fields[I].valueSlot());
+    if (needsRoot(Fields[I]))
+      Heap.addRoot(Fields[I].valueSlot());
   }
 
   HashedRep &Owner;
@@ -432,11 +440,11 @@ public:
                      TupleSpace::ProxyDeliverFn Deliver) override {
     auto Owned = std::make_unique<Tuple>(std::move(Template));
     auto *P = new ProxyReg(std::move(Owned), Remove, Id, std::move(Deliver));
-    // Root the template's datum fields for the registration's lifetime
-    // (the owned vector never resizes, so the slots are stable) — the
-    // remote waiter has no stack frame pinning them, cf. makeEntry.
+    // Root the template's collectable datum fields for the registration's
+    // lifetime (the owned vector never resizes, so the slots are stable) —
+    // the remote waiter has no stack frame pinning them, cf. makeEntry.
     for (Field &F : *P->Owned)
-      if (F.isDatum())
+      if (needsRoot(F))
         Heap.addRoot(F.valueSlot());
     Bin &Home = binForTemplate(*P->Template);
     bool Duplicate = false;
@@ -502,7 +510,7 @@ public:
   /// Returns a recycled entry to the pool (called from Entry::release).
   void recycle(Entry *E) {
     for (Field &F : E->Fields)
-      if (F.isDatum())
+      if (needsRoot(F))
         Heap.removeRoot(F.valueSlot());
     E->Fields.clear();
     std::lock_guard<SpinLock> Guard(PoolLock);
@@ -556,7 +564,7 @@ private:
     E->Flow = obs::currentFlowId();
     E->Removed = false;
     for (Field &F : E->Fields)
-      if (F.isDatum())
+      if (needsRoot(F))
         Heap.addRoot(F.valueSlot());
     return EntryRef::adopt(E);
   }
@@ -779,7 +787,7 @@ private:
 
   void disposeProxy(ProxyReg *P) {
     for (Field &F : *P->Owned)
-      if (F.isDatum())
+      if (needsRoot(F))
         Heap.removeRoot(F.valueSlot());
     delete P;
   }

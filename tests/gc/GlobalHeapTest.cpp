@@ -10,6 +10,10 @@
 #include "gc/Object.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -84,6 +88,77 @@ TEST(GlobalHeapTest, SymbolsSurviveCollection) {
   Value S = Heap.intern("persistent");
   Heap.collectFull({});
   EXPECT_TRUE(Heap.intern("persistent") == S);
+}
+
+TEST(GlobalHeapTest, SymbolsSurviveCollectionAcrossTableGrowth) {
+  // Enough names to grow the symbol table several times; every later
+  // lookup is a lock-free hit, and each symbol must keep its identity and
+  // its bytes through a collection whose freed space is then reused.
+  GlobalHeap Heap(4096);
+  constexpr int Names = 1000;
+  std::vector<Value> Syms;
+  for (int I = 0; I != Names; ++I)
+    Syms.push_back(Heap.intern("sym-" + std::to_string(I)));
+  for (int I = 0; I != Names; ++I)
+    ASSERT_TRUE(Heap.intern("sym-" + std::to_string(I)) == Syms[I]);
+  for (int I = 0; I != 500; ++I)
+    Heap.makeStringShared("garbage-string"); // garbage
+  Heap.collectFull({});
+  for (int I = 0; I != 500; ++I)
+    Heap.makeStringShared("reused-chunk!!"); // refills swept space
+  for (int I = 0; I != Names; ++I) {
+    const std::string Name = "sym-" + std::to_string(I);
+    ASSERT_EQ(Syms[I].asObject()->kind(), ObjectKind::Symbol);
+    ASSERT_EQ(textOf(Syms[I]), Name);
+    ASSERT_TRUE(Heap.intern(Name) == Syms[I]);
+  }
+}
+
+TEST(GlobalHeapTest, EachHeapInternsIntoItsOwnTable) {
+  GlobalHeap A, B;
+  Value SA = A.intern("same-name");
+  Value SB = B.intern("same-name");
+  EXPECT_FALSE(SA == SB);
+  EXPECT_TRUE(A.contains(SA.asObject()));
+  EXPECT_TRUE(B.contains(SB.asObject()));
+  EXPECT_TRUE(A.intern("same-name") == SA);
+  EXPECT_TRUE(B.intern("same-name") == SB);
+}
+
+TEST(GlobalHeapTest, RemovingHalfOfManyRootsKeepsTheRest) {
+  GlobalHeap Heap(4096);
+  constexpr int N = 10000;
+  std::vector<Value> Slots(N);
+  for (int I = 0; I != N; ++I) {
+    Slots[I] = Heap.consShared(Value::fixnum(I), Value::nil());
+    Heap.addRoot(&Slots[I]);
+  }
+  EXPECT_EQ(Heap.rootCount(), std::size_t(N));
+
+  std::vector<int> Order(N);
+  std::iota(Order.begin(), Order.end(), 0);
+  std::shuffle(Order.begin(), Order.end(), std::mt19937(7));
+  std::vector<bool> Kept(N, true);
+  for (int K = 0; K != N / 2; ++K) {
+    Heap.removeRoot(&Slots[Order[K]]);
+    Kept[Order[K]] = false;
+  }
+  EXPECT_EQ(Heap.rootCount(), std::size_t(N / 2));
+
+  Heap.collectFull({});
+  // Exactly the kept pairs (16-byte header + two slots each) stay live.
+  EXPECT_EQ(Heap.stats().LiveBytesAfterLastGc, std::uint64_t(N / 2) * 32);
+  for (int I = 0; I != N; ++I)
+    Heap.consShared(Value::fixnum(-1), Value::nil()); // reuses swept pairs
+  int Broken = 0;
+  for (int I = 0; I != N; ++I)
+    if (Kept[I] && car(Slots[I]).asFixnum() != I)
+      ++Broken;
+  EXPECT_EQ(Broken, 0);
+  for (int I = 0; I != N; ++I)
+    if (Kept[I])
+      Heap.removeRoot(&Slots[I]);
+  EXPECT_EQ(Heap.rootCount(), 0u);
 }
 
 TEST(GlobalHeapTest, YoungAreasActAsRoots) {

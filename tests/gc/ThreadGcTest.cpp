@@ -19,6 +19,8 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -85,6 +87,66 @@ TEST(ThreadGcTest, ConcurrentIndependentScavenges) {
   }
   EXPECT_EQ(Failures.load(), 0);
   EXPECT_GT(TotalScavenges, 6u) << "workload never scavenged";
+}
+
+TEST(ThreadGcTest, ConcurrentInternsYieldOneSymbolPerName) {
+  // Eight threads on four VPs intern the same names (each starting at a
+  // different point, so first inserts race) and names of their own, twice
+  // over: the second pass is all lock-free hits. Every name must map to
+  // one symbol, and each must outlive a collection of its heap.
+  g::GlobalHeap Heap(4096);
+  constexpr int Threads = 8, Names = 200;
+  auto Common = [](int I) { return "common-" + std::to_string(I); };
+  auto Own = [](int T, int I) {
+    return "own-" + std::to_string(T) + "-" + std::to_string(I);
+  };
+  std::vector<std::vector<g::Value>> Shared(
+      Threads, std::vector<g::Value>(Names));
+  std::vector<std::vector<g::Value>> Mine(Threads);
+  std::atomic<int> Mismatches{0};
+  {
+    VirtualMachine Vm(VmConfig{.NumVps = 4, .NumPps = 4});
+    std::vector<ThreadRef> Workers;
+    for (int T = 0; T != Threads; ++T)
+      Workers.push_back(Vm.fork([&, T]() -> AnyValue {
+        for (int Pass = 0; Pass != 2; ++Pass) {
+          for (int K = 0; K != Names; ++K) {
+            const int I = (K + T * Names / Threads) % Names;
+            g::Value S = Heap.intern(Common(I));
+            if (Pass == 1 && !(S == Shared[T][I]))
+              Mismatches.fetch_add(1);
+            Shared[T][I] = S;
+            g::Value O = Heap.intern(Own(T, K));
+            if (Pass == 0)
+              Mine[T].push_back(O);
+            else if (!(O == Mine[T][K]))
+              Mismatches.fetch_add(1);
+          }
+        }
+        return AnyValue();
+      }));
+    for (auto &W : Workers)
+      W->join();
+  }
+  EXPECT_EQ(Mismatches.load(), 0);
+  for (int T = 1; T != Threads; ++T)
+    for (int I = 0; I != Names; ++I)
+      ASSERT_TRUE(Shared[T][I] == Shared[0][I]) << Common(I);
+
+  for (int I = 0; I != 500; ++I)
+    Heap.makeStringShared("garbage-string"); // garbage
+  Heap.collectFull({});
+  for (int I = 0; I != 500; ++I)
+    Heap.makeStringShared("reused-chunk!!"); // refills swept space
+  for (int I = 0; I != Names; ++I) {
+    ASSERT_EQ(g::textOf(Shared[0][I]), Common(I));
+    ASSERT_TRUE(Heap.intern(Common(I)) == Shared[0][I]);
+  }
+  for (int T = 0; T != Threads; ++T)
+    for (int K = 0; K != Names; ++K) {
+      ASSERT_EQ(g::textOf(Mine[T][K]), Own(T, K));
+      ASSERT_TRUE(Heap.intern(Own(T, K)) == Mine[T][K]);
+    }
 }
 
 TEST(ThreadGcTest, EscapeHandsDataBetweenThreads) {

@@ -10,11 +10,14 @@
 #include "core/Gc.h"
 #include "core/ThreadController.h"
 #include "core/VirtualMachine.h"
+#include "gc/GlobalHeap.h"
 #include "gc/Object.h"
 #include "obs/Flow.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <utility>
 
 namespace {
@@ -27,6 +30,18 @@ Tuple tup(std::initializer_list<int> Xs) {
   for (int X : Xs)
     T.emplace_back(X);
   return T;
+}
+
+/// Fills \p Heap with garbage strings as long as \p Bytes, collects, then
+/// allocates as many again: the second batch reuses the swept space first
+/// fit, so a value the collection wrongly freed has its bytes overwritten.
+void collectAndReuse(gc::GlobalHeap &Heap, const std::string &Bytes) {
+  const std::string Junk(Bytes.size(), '#');
+  for (int I = 0; I != 200; ++I)
+    Heap.makeStringShared(Junk);
+  Heap.collectFull({});
+  for (int I = 0; I != 200; ++I)
+    Heap.makeStringShared(Junk);
 }
 
 TEST(TupleSpaceTest, PutThenTryTake) {
@@ -327,6 +342,93 @@ TEST(TupleSpaceTest, TryVariantsCountAttempts) {
     EXPECT_TRUE(Ts->tryTake(tup({1})).has_value());
     EXPECT_EQ(Ts->stats().Reads.load(), 2u);
     EXPECT_EQ(Ts->stats().Takes.load(), 2u);
+    return AnyValue();
+  });
+}
+
+// The space roots only collectable field values (DESIGN.md §5). These pin
+// the two halves of that rule on a private heap, which nothing else in the
+// machine touches, so collectFull runs quiescent.
+
+TEST(TupleSpaceTest, ResidentStringFieldSurvivesFullCollection) {
+  VirtualMachine Vm;
+  Vm.run([]() -> AnyValue {
+    gc::GlobalHeap Heap(4096);
+    TupleSpaceRef Ts = TupleSpace::create(TupleSpaceRep::Hashed, &Heap);
+    const std::string Bytes = "resident string payload";
+    Tuple T = makeTuple(7);
+    T.push_back(Field::blob(Bytes));
+    Ts->put(std::move(T));
+    collectAndReuse(Heap, Bytes);
+    auto M = Ts->tryTake(makeTuple(7, formal(0)));
+    EXPECT_TRUE(M.has_value());
+    if (M) {
+      EXPECT_EQ(M->binding(0).asObject()->kind(), gc::ObjectKind::String);
+      EXPECT_EQ(gc::textOf(M->binding(0)), Bytes);
+    }
+    return AnyValue();
+  });
+}
+
+TEST(TupleSpaceTest, ProxyTemplateStringSurvivesFullCollection) {
+  VirtualMachine Vm;
+  Vm.run([]() -> AnyValue {
+    gc::GlobalHeap Heap(4096);
+    TupleSpaceRef Ts = TupleSpace::create(TupleSpaceRep::Hashed, &Heap);
+    const std::string Bytes = "proxied template string";
+    std::optional<Match> Got;
+    Tuple Template = makeTuple(9);
+    Template.push_back(Field::blob(Bytes));
+    Template.push_back(formal(0));
+    EXPECT_TRUE(Ts->registerProxy(
+        1, std::move(Template), /*Remove=*/true,
+        [&](std::uint64_t, Match M) { Got = std::move(M); }));
+    collectAndReuse(Heap, Bytes);
+    Tuple T = makeTuple(9);
+    T.push_back(Field::blob(Bytes));
+    T.emplace_back(5);
+    Ts->put(std::move(T));
+    EXPECT_TRUE(Got.has_value()) << "the template no longer matches";
+    if (Got) {
+      EXPECT_EQ(Got->binding(0).asFixnum(), 5);
+    }
+    return AnyValue();
+  });
+}
+
+TEST(TupleSpaceTest, ImmediateAndSymbolTuplesRegisterNoRoots) {
+  VirtualMachine Vm(VmConfig{.NumVps = 2, .NumPps = 2});
+  Vm.run([]() -> AnyValue {
+    gc::GlobalHeap Heap;
+    TupleSpaceRef Ts = TupleSpace::create(TupleSpaceRep::Hashed, &Heap);
+    const std::size_t Before = Heap.rootCount();
+
+    Ts->put(makeTuple(1, "tok", 2, true));
+    EXPECT_EQ(Heap.rootCount(), Before) << "resident fixnum/symbol tuple";
+    EXPECT_EQ(Ts->take(makeTuple(1, "tok", formal(0), formal(1)))
+                  .binding(0)
+                  .asFixnum(),
+              2);
+    EXPECT_EQ(Heap.rootCount(), Before);
+
+    // The handoff path: a parked taker receives the entry directly.
+    ThreadRef Taker = ThreadController::forkThread([Ts]() -> AnyValue {
+      return AnyValue(
+          Ts->take(makeTuple(3, "tok", formal(0))).binding(0).asFixnum());
+    });
+    while (Ts->stats().Blocks.load() == 0)
+      ThreadController::yieldProcessor();
+    Ts->put(makeTuple(3, "tok", 4));
+    EXPECT_EQ(ThreadController::threadValue(*Taker).as<std::int64_t>(), 4);
+    EXPECT_EQ(Heap.rootCount(), Before);
+
+    // A string is collectable: rooted while resident, unrooted by the take.
+    Tuple S = makeTuple(5);
+    S.push_back(Field::blob("collectable"));
+    Ts->put(std::move(S));
+    EXPECT_EQ(Heap.rootCount(), Before + 1);
+    Ts->take(makeTuple(5, formal(0)));
+    EXPECT_EQ(Heap.rootCount(), Before);
     return AnyValue();
   });
 }
